@@ -1,21 +1,28 @@
 """Hierarchically coupled equations of motion for the FMO monomer.
 
 The full hierarchy state is a (count, n, n) complex array of auxiliary
-operators zeta(n); slot 0 is the physical density operator. The right-hand
-side is evaluated vectorized over all hierarchy nodes, with missing
-neighbors (above the truncation depth, or n_k = 0) routed to a padded
-zero block. Integration uses the adaptive Dormand-Prince 5(4) pair
-(scipy's RK45) with per-step dense output sampled onto a uniform grid.
+operators zeta(n); slot 0 is the physical density operator. The
+right-hand side works on two (count * n, n) row-block layouts of that
+state: z2, in which row c * n + k is row k of node c, and zt2, the same
+view of the per-node transposes, in which that row is column k of node c.
+Each layout is multiplied by one 7x7 matrix (the unitary part with
+trapping folded into a non-Hermitian H_eff) and by one constant sparse
+coupling with a fixed number of entries per row (the up and down
+neighbours of the hierarchy, and damping on the diagonal of the row
+coupling). Integration uses the adaptive Dormand-Prince 5(4) pair
+(scipy's RK45); the dense output of each step is evaluated for the
+physical block only and sampled onto a uniform grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import RK45
+from scipy.sparse import csr_matrix
 
 from .hierarchy import enumerate_hierarchy
 from .linalg import commutator, anticommutator
-from .model import UnitSystem, build_hamiltonian, thermal_prefactors
+from .model import UnitSystem, build_hamiltonian, output_steps, thermal_prefactors
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,28 @@ class Trajectory:
         return np.real(np.trace(self.rhos, axis1=1, axis2=2))
 
 
+def _neighbor_coupling(neighbors, values, count, n):
+    """One CSR entry per (row c * n + k, table) from neighbor tables.
+
+    Row c * n + k of the result picks row k of node neighbors[t][c, k]
+    with weight values[t][c, k]; tables and values broadcast to
+    (count, n). A missing neighbor (negative rank) keeps its slot as an
+    explicit zero on the diagonal, so every row has the same width.
+    """
+    m = count * n
+    rows = np.arange(m, dtype=np.int32).reshape(count, n)
+    k = np.arange(n, dtype=np.int32)
+    width = len(neighbors)
+    indices = np.empty((m, width), dtype=np.int32)
+    data = np.empty((m, width), dtype=complex)
+    for j, (nb, val) in enumerate(zip(neighbors, values)):
+        present = np.broadcast_to(nb >= 0, (count, n))
+        indices[:, j] = np.where(present, nb * n + k, rows).reshape(-1)
+        data[:, j] = np.where(present, val, 0.0).reshape(-1)
+    indptr = np.arange(0, width * m + 1, width, dtype=np.int32)
+    return csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(m, m))
+
+
 class HEOMPropagator:
     """Precomputed HEOM right-hand side and integrator for fixed parameters."""
 
@@ -107,17 +136,27 @@ class HEOMPropagator:
         self.h_shifted = shifted_hamiltonian(params, units)
 
         n = params.n_sites
-        count = self.space.count
-        # Missing neighbors point at the padded zero block at index `count`.
-        self._ip = np.where(self.space.neighbors_plus >= 0,
-                            self.space.neighbors_plus, count)
-        self._im = np.where(self.space.neighbors_minus >= 0,
-                            self.space.neighbors_minus, count)
-        self._nk = self.space.indices.astype(float)          # (count, n)
-        self._damp = self._nk @ self.pref.gamma              # (count,)
-        self._trap_rate = params.trap_rate_inv_fs
-        self._trap_idx = [s - 1 for s in params.trap_sites]
-        self._pad = np.zeros((count + 1, n, n), dtype=complex)
+        # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
+        # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
+        h_eff = self.h_shifted.copy()
+        for s in params.trap_sites:
+            h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
+        self._h_right = 1j * h_eff.conj().T   # z2 @ this: i z H_eff^dagger
+        self._h_left_t = (-1j * h_eff).T      # zt2 @ this: (-i H_eff z)^T
+
+        # Phi_k = i [V_k, .] from the up neighbors and n_k Theta_k from the
+        # down neighbors, split into the part acting on row k (left factor)
+        # and the part acting on column k (right factor); damping
+        # -sum_k n_k gamma_k sits on the diagonal of the row coupling.
+        plus, minus = self.space.neighbors_plus, self.space.neighbors_minus
+        nk = self.space.indices.astype(float)
+        a, b = self.pref.theta_comm, self.pref.theta_anti
+        damp = (nk @ self.pref.gamma)[:, None]
+        diag = np.arange(self.count)[:, None]
+        self._row_coupling = _neighbor_coupling(
+            (minus, diag, plus), (nk * (1j * a + b), -damp, 1j), self.count, n)
+        self._col_coupling = _neighbor_coupling(
+            (minus, plus), (nk * (-1j * a + b), -1j), self.count, n)
 
     @property
     def count(self):
@@ -136,36 +175,20 @@ class HEOMPropagator:
     def rhs(self, t, zetas):
         """Time derivative of the full hierarchy state, shape (count, n, n)."""
         zetas = np.asarray(zetas)
-        if zetas.shape != self._pad[:-1].shape:
-            raise ValueError(f"hierarchy state must have shape "
-                             f"{self._pad[:-1].shape}, got {zetas.shape}")
-        pad = self._pad
-        pad[:-1] = zetas
-        pad[-1] = 0.0
-        z = pad[:-1]
-
-        h = self.h_shifted
-        dz = -1j * (np.matmul(h, z) - np.matmul(z, h))
-        dz -= self._damp[:, None, None] * z
-
-        a = self.pref.theta_comm
-        b = self.pref.theta_anti
-        for k in range(self.params.n_sites):
-            zp = pad[self._ip[:, k]]
-            # Phi_k zeta(n_{k+}) = i [V_k, .]: adds i*row_k, subtracts i*col_k.
-            dz[:, k, :] += 1j * zp[:, k, :]
-            dz[:, :, k] -= 1j * zp[:, :, k]
-            zm = pad[self._im[:, k]]
-            c = self._nk[:, k][:, None]
-            # n_k Theta_k zeta(n_{k-}): commutator + anticommutator pieces.
-            dz[:, k, :] += c * ((1j * a[k] + b[k]) * zm[:, k, :])
-            dz[:, :, k] += c * ((-1j * a[k] + b[k]) * zm[:, :, k])
-
-        if self._trap_rate > 0:
-            r = self._trap_rate
-            for s in self._trap_idx:
-                dz[:, s, :] -= r * z[:, s, :]
-                dz[:, :, s] -= r * z[:, :, s]
+        n = self.params.n_sites
+        shape = (self.count, n, n)
+        if zetas.shape != shape:
+            raise ValueError(f"hierarchy state must have shape {shape}, "
+                             f"got {zetas.shape}")
+        zt2 = np.ascontiguousarray(zetas.transpose(0, 2, 1)).reshape(-1, n)
+        g2 = zt2 @ self._h_left_t
+        g2 += self._col_coupling @ zt2
+        del zt2  # state-sized; freed before the row-layout temporaries
+        z2 = zetas.reshape(-1, n)
+        dz2 = z2 @ self._h_right
+        dz2 += self._row_coupling @ z2
+        dz = dz2.reshape(shape)
+        dz += g2.reshape(shape).transpose(0, 2, 1)
         return dz
 
     def _rhs_flat(self, t, y):
@@ -175,13 +198,15 @@ class HEOMPropagator:
     def run(self, rho0, t_end_fs=None, dt_out_fs=None):
         """Integrate from a factorized initial condition; return a Trajectory.
 
-        Only the physical operator zeta(0) is stored at output times, via
-        the integrator's dense output, so memory stays flat in the grid size.
+        Only the physical operator zeta(0) is stored at output times. It is
+        read from the integrator's dense output of each step, evaluated for
+        the n * n physical entries only, so memory stays flat in the grid
+        size.
         """
         t_end = float(t_end_fs if t_end_fs is not None else self.params.t_end_fs)
         dt_out = float(dt_out_fs if dt_out_fs is not None else self.params.dt_out_fs)
         n = self.params.n_sites
-        n_out = int(round(t_end / dt_out))
+        n_out = output_steps(t_end, dt_out)
         times = np.arange(n_out + 1) * dt_out
 
         y0 = self.initial_hierarchy(rho0).reshape(-1)
@@ -195,20 +220,31 @@ class HEOMPropagator:
             max_step=self.config.max_step_fs,
         )
         next_i = 1
-        while solver.status == "running":
-            solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(
-                    f"Dormand-Prince step failed at t = {solver.t:.6g} fs "
-                    "(step-size underflow or tolerance not met)"
-                )
-            interp = None
-            while next_i <= n_out and times[next_i] <= solver.t + 1e-12:
-                if interp is None:
-                    interp = solver.dense_output()
-                y = interp(min(times[next_i], solver.t))
-                rhos[next_i] = y[: n * n].reshape(n, n)
-                next_i += 1
+        try:
+            while solver.status == "running":
+                solver.step()
+                if solver.status == "failed":
+                    raise IntegrationError(
+                        f"Dormand-Prince step failed at t = {solver.t:.6g} fs "
+                        "(step-size underflow or tolerance not met)"
+                    )
+                q = None
+                while next_i <= n_out and times[next_i] <= solver.t + 1e-12:
+                    if q is None:
+                        # scipy's RkDenseOutput restricted to the physical block.
+                        h = solver.t - solver.t_old
+                        q = solver.K[:, : n * n].T @ solver.P
+                        y_old = solver.y_old[: n * n]
+                    x = (min(times[next_i], solver.t) - solver.t_old) / h
+                    p = np.cumprod(np.full(q.shape[1], x))
+                    y = h * (q @ p) + y_old
+                    rhos[next_i] = y.reshape(n, n)
+                    next_i += 1
+        finally:
+            # The solver refers to itself through these closures; breaking
+            # the cycle frees its stage arrays now instead of at the next
+            # cyclic garbage collection.
+            solver.fun = solver.fun_vectorized = None
         if next_i <= n_out:
             raise IntegrationError(
                 f"integration stopped at t = {solver.t:.6g} fs before reaching "

@@ -3,8 +3,9 @@
 Multi-indices n = (n_1, ..., n_K) with sum(n) <= N are laid out in graded
 lexicographic order (by depth, then lexicographically within a depth) and
 addressed by a flat rank. Neighbor tables (rank of n with n_k incremented
-or decremented) are precomputed once so the right-hand side never performs
-hash lookups.
+or decremented) are precomputed once, by binary search over integer keys
+that increase in that order, so the right-hand side never performs hash
+lookups.
 """
 
 from dataclasses import dataclass
@@ -24,23 +25,37 @@ def hierarchy_count(n_sites, depth_max):
     return comb(depth_max + n_sites, n_sites)
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _graded_keys(indices, depth_max):
+    """Integer keys depth * B**n + sum_k n_k * B**(n-1-k) with B = depth_max + 1.
+
+    Digits are below B, so the keys increase strictly in graded
+    lexicographic order and a neighbor's key is a fixed offset away.
+    Returns the keys and the per-site offsets B**n + B**(n-1-k).
+    """
+    n_sites = indices.shape[1]
+    base = depth_max + 1
+    # Largest key queried: a top-depth node plus the largest offset.
+    if base * (base**n_sites + base**(n_sites - 1)) > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"hierarchy keys for {n_sites} sites at depth {depth_max} overflow int64"
+        )
+    digits = base ** np.arange(n_sites - 1, -1, -1, dtype=np.int64)
+    keys = indices.sum(axis=1) * base**n_sites + indices @ digits
+    return keys, base**n_sites + digits
 
 
 def enumerate_multi_indices(n_sites, depth_max):
     """Multi-indices in graded lexicographic order as an (count, n_sites) array."""
-    out = []
-    for depth in range(depth_max + 1):
-        block = sorted(_compositions(depth, n_sites))
-        out.extend(block)
-    return np.array(out, dtype=np.int64).reshape(-1, n_sites)
+    indices = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_sites):
+        room = depth_max - indices.sum(axis=1)
+        indices = np.concatenate([
+            np.column_stack([np.full(np.count_nonzero(room >= v), v),
+                             indices[room >= v]])
+            for v in range(depth_max + 1)
+        ])
+    keys, _ = _graded_keys(indices, depth_max)
+    return indices[np.argsort(keys)]
 
 
 @dataclass(frozen=True)
@@ -97,25 +112,20 @@ def enumerate_hierarchy(n_sites, depth_max):
             f"hierarchy with {count} nodes exceeds the {MAX_NODES} node limit"
         )
     indices = enumerate_multi_indices(n_sites, depth_max)
-    rank_map = {tuple(int(v) for v in row): i for i, row in enumerate(indices)}
+    keys, step = _graded_keys(indices, depth_max)
 
     plus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
     minus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
-    for i, row in enumerate(indices):
-        n = tuple(int(v) for v in row)
-        depth = sum(n)
-        for k in range(n_sites):
-            if depth < depth_max:
-                plus[i, k] = rank_map[n[:k] + (n[k] + 1,) + n[k + 1:]]
-            if n[k] > 0:
-                minus[i, k] = rank_map[n[:k] + (n[k] - 1,) + n[k + 1:]]
+    depths = indices.sum(axis=1)
+    has_plus = np.repeat(depths < depth_max, n_sites).reshape(count, n_sites)
+    has_minus = indices > 0
+    plus[has_plus] = np.searchsorted(keys, (keys[:, None] + step)[has_plus])
+    minus[has_minus] = np.searchsorted(keys, (keys[:, None] - step)[has_minus])
 
-    space = HierarchyIndexSpace(
+    return HierarchyIndexSpace(
         n_sites=n_sites,
         depth_max=depth_max,
         indices=indices,
         neighbors_plus=plus,
         neighbors_minus=minus,
     )
-    object.__setattr__(space, "_rank_map_cache", rank_map)
-    return space

@@ -5,6 +5,7 @@ with hbar = 1, so femtoseconds are the native time unit of the dynamics.
 Site indices are 1-based in every public interface.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +69,12 @@ class SystemParams:
         h = np.asarray(self.hamiltonian_cm, dtype=float)
         if h.shape != (self.n_sites, self.n_sites):
             raise ValueError(f"hamiltonian must be {self.n_sites}x{self.n_sites}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("hamiltonian_cm must be finite")
+        for name in ("lambda_cm", "gamma_inv_fs", "temperature_K",
+                     "trap_rate_inv_ps", "truncation_N", "t_end_fs", "dt_out_fs"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if np.max(np.abs(h - h.T)) > 1e-12 * max(np.max(np.abs(h)), 1.0):
             raise ValueError("hamiltonian_cm must be symmetric")
         if self.lambda_cm <= 0:
@@ -80,11 +87,13 @@ class SystemParams:
             raise ValueError("trap_rate_inv_ps must be nonnegative")
         if self.truncation_N < 0:
             raise ValueError("truncation_N must be nonnegative")
-        if self.t_end_fs <= 0 or self.dt_out_fs <= 0:
-            raise ValueError("t_end_fs and dt_out_fs must be positive")
+        output_steps(self.t_end_fs, self.dt_out_fs)
         for s in self.trap_sites:
             if not 1 <= s <= self.n_sites:
                 raise ValueError(f"trap site {s} outside 1..{self.n_sites}")
+        if len(set(self.trap_sites)) != len(self.trap_sites):
+            raise ValueError(
+                f"trap_sites must not repeat a site, got {self.trap_sites}")
         object.__setattr__(self, "hamiltonian_cm", h)
 
     def with_overrides(self, **kwargs):
@@ -96,6 +105,24 @@ class SystemParams:
         if self.trap_rate_inv_ps == 0:
             return 0.0
         return 1.0 / (self.trap_rate_inv_ps * 1000.0)
+
+
+def output_steps(t_end_fs, dt_out_fs):
+    """Number of output intervals t_end_fs / dt_out_fs, required to be an integer.
+
+    A grid that does not end at t_end_fs would ask for samples past the
+    end of the integration, so it is rejected before any work is done.
+    """
+    if not (0 < t_end_fs < math.inf and 0 < dt_out_fs < math.inf):
+        raise ValueError("t_end_fs and dt_out_fs must be positive and finite")
+    ratio = t_end_fs / dt_out_fs
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+        raise ValueError(
+            f"t_end_fs = {t_end_fs:g} must be an integer multiple of "
+            f"dt_out_fs = {dt_out_fs:g}"
+        )
+    return steps
 
 
 def build_hamiltonian(params, units=UnitSystem()):

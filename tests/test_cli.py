@@ -55,6 +55,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_run_config(overrides=["initial.site=9"])
 
+    @pytest.mark.parametrize("item", ["system.lambda_cm=nan",
+                                      "system.temperature_K=inf",
+                                      "system.trap_sites=3,3"])
+    def test_rejected_before_integration(self, item):
+        key = item.split("=")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(overrides=[item])
+
     def test_parse_syntax_error(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not a key value line")
@@ -95,6 +103,15 @@ class TestSimulate:
         for fname in ["populations.csv", "measures_1_2.csv", "measures_5_6.csv",
                       "run_manifest.json"]:
             assert filecmp.cmp(outs[0] / fname, outs[1] / fname, shallow=False)
+
+    def test_overshooting_grid_fails_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--out", str(out), "--set", "system.truncation_N=2",
+                   "--set", "system.t_end_fs=11", "--set", "system.dt_out_fs=4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "t_end_fs" in err and "dt_out_fs" in err
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path),

@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 
 from fmoheom.heom import (
     HEOMPropagator,
@@ -148,6 +151,30 @@ class TestRHS:
         defect = np.max(np.abs(dz - np.conj(np.swapaxes(dz, 1, 2))))
         assert defect < 1e-12
 
+    @pytest.mark.parametrize("n_trunc", [2, 3])
+    def test_matches_superoperators(self, n_trunc):
+        # The kernel against the per-node definition of every HEOM term.
+        p = SystemParams(truncation_N=n_trunc)
+        prop = HEOMPropagator(p)
+        space, pref = prop.space, prop.pref
+        rng = np.random.default_rng(8)
+        shape = (prop.count, 7, 7)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = np.empty_like(z)
+        for c in range(prop.count):
+            nk = space.indices[c]
+            d = -1j * apply_liouvillian(z[c], prop.h_shifted)
+            d -= (nk @ pref.gamma) * z[c]
+            d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)
+            for k in range(7):
+                up, down = space.neighbors_plus[c, k], space.neighbors_minus[c, k]
+                if up >= 0:
+                    d += apply_phi(k + 1, z[up])
+                if down >= 0:
+                    d += nk[k] * apply_theta(k + 1, z[down], pref)
+            expected[c] = d
+        np.testing.assert_allclose(prop.rhs(0.0, z), expected, rtol=0, atol=1e-13)
+
     def test_shape_mismatch(self, params):
         prop = HEOMPropagator(params)
         with pytest.raises(ValueError):
@@ -195,6 +222,42 @@ class TestIntegration:
         ).run(localized_state(1))
         diff = abs(coarse.rhos[-1][0, 0] - fine.rhos[-1][0, 0])
         assert diff < 1e-8
+
+    def test_dense_output_matches_solve_ivp(self):
+        # The physical-block interpolant against scipy's own dense output.
+        p = SystemParams(truncation_N=1, t_end_fs=60.0, dt_out_fs=0.25)
+        prop = HEOMPropagator(p)
+        traj = prop.run(localized_state(1))
+        cfg = prop.config
+        sol = solve_ivp(prop._rhs_flat, (0.0, p.t_end_fs),
+                        prop.initial_hierarchy(localized_state(1)).reshape(-1),
+                        method="RK45", t_eval=traj.times_fs,
+                        rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                        first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
+        assert sol.status == 0
+        # Several samples per step (six RHS calls), so the interpolant is
+        # really exercised.
+        assert traj.times_fs.size >= 3 * (sol.nfev // 6)
+        ref = sol.y[:49].T.reshape(-1, 7, 7)
+        np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
+
+    def test_run_frees_the_integrator(self):
+        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=5.0))
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            prop.run(localized_state(1))
+            gc.collect()
+            assert not any(isinstance(o, RK45) for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+
+    def test_overshooting_grid_override(self, params):
+        prop = HEOMPropagator(params)
+        with pytest.raises(ValueError, match="t_end_fs.*dt_out_fs"):
+            prop.run(localized_state(1), t_end_fs=11.0, dt_out_fs=4.0)
 
     def test_bad_initial_shape(self, params):
         prop = HEOMPropagator(params)

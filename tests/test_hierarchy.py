@@ -35,6 +35,11 @@ class TestCounting:
         with pytest.raises(ValueError, match="node"):
             enumerate_hierarchy(7, 40)
 
+    def test_key_overflow_rejected(self):
+        # 64 nodes, but the base-2 keys of 63 sites do not fit in int64.
+        with pytest.raises(ValueError, match="overflow"):
+            enumerate_hierarchy(63, 1)
+
 
 class TestOrdering:
     def test_graded_lex(self):
@@ -79,6 +84,19 @@ class TestAdjacency:
     def test_minus_iff_positive(self, space):
         has_minus = space.neighbors_minus != NO_NEIGHBOR
         np.testing.assert_array_equal(has_minus, space.indices > 0)
+
+    @pytest.mark.parametrize("n_sites,depth", [(7, 3), (3, 6), (1, 4)])
+    def test_tables_match_brute_force(self, n_sites, depth):
+        space = enumerate_hierarchy(n_sites, depth)
+        rank = {tuple(int(v) for v in row): i
+                for i, row in enumerate(space.indices)}
+        for i, row in enumerate(space.indices):
+            for k in range(n_sites):
+                up, down = list(row), list(row)
+                up[k] += 1
+                down[k] -= 1
+                assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
+                assert space.neighbors_minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)
 
     def test_unknown_index_rejected(self, space):
         with pytest.raises(KeyError):

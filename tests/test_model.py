@@ -4,6 +4,7 @@ import pytest
 from fmoheom.linalg import commutator
 from fmoheom.model import (
     CM_TO_RADFS,
+    FMO_HAMILTONIAN_CM,
     KB_CM_PER_K,
     SystemParams,
     UnitSystem,
@@ -11,6 +12,7 @@ from fmoheom.model import (
     exciton_basis,
     fret_state,
     localized_state,
+    output_steps,
     thermal_prefactors,
 )
 
@@ -163,3 +165,34 @@ class TestParamValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(**kwargs)
+
+    @pytest.mark.parametrize("key,value", [
+        ("lambda_cm", float("nan")),
+        ("temperature_K", float("inf")),
+        ("gamma_inv_fs", float("nan")),
+        ("trap_rate_inv_ps", float("inf")),
+        ("t_end_fs", float("nan")),
+    ])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SystemParams(**{key: value})
+
+    def test_non_finite_hamiltonian_rejected(self):
+        h = FMO_HAMILTONIAN_CM.copy()
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(ValueError, match="hamiltonian_cm"):
+            SystemParams(hamiltonian_cm=h)
+
+    def test_duplicate_trap_sites_rejected(self):
+        with pytest.raises(ValueError, match="trap_sites"):
+            SystemParams(trap_sites=(3, 3))
+
+    @pytest.mark.parametrize("t_end,dt_out", [(11.0, 4.0), (1.0, 3.0), (10.0, 0.3)])
+    def test_output_grid_must_end_at_t_end(self, t_end, dt_out):
+        with pytest.raises(ValueError, match="t_end_fs.*dt_out_fs"):
+            SystemParams(t_end_fs=t_end, dt_out_fs=dt_out)
+
+    def test_output_grid_rounding_accepted(self):
+        # 2.3 / 0.1 is 22.999999999999996 in floating point.
+        assert output_steps(2.3, 0.1) == 23
+        SystemParams(t_end_fs=2.3, dt_out_fs=0.1)
