@@ -13,7 +13,6 @@ from .heom import (
     IntegratorConfig,
     Trajectory,
     convergence_study,
-    integrate,
 )
 from .hierarchy import enumerate_hierarchy, hierarchy_count
 from .linalg import commutator, anticommutator, hermitian_eigen, trace_distance
@@ -31,7 +30,6 @@ from .measures import (
 from .model import (
     ExcitonBasis,
     SystemParams,
-    UnitSystem,
     build_hamiltonian,
     exciton_basis,
     fret_state,

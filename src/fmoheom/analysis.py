@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import all_pairs, closed_form_measures, horodecki_M, reduce_pair
-from .model import UnitSystem, fret_state
+from .model import CM_TO_RADFS, fret_state
 
 
 @dataclass(frozen=True)
@@ -27,17 +27,17 @@ class ShortTimePrediction:
     quadratic_C_coeff: float  # (rad/fs)^2
 
 
-def _couplings_radfs(params, units):
-    j = params.hamiltonian_cm * units.cm_to_radfs
+def _couplings_radfs(params):
+    j = params.hamiltonian_cm * CM_TO_RADFS
     j = j - np.diag(np.diag(j))
     return j
 
 
-def short_time_oracle(x, params, units=UnitSystem()):
+def short_time_oracle(x, params):
     """Leading-order C and B growth for every pair, from the coupling row of x."""
     if not 1 <= x <= params.n_sites:
         raise ValueError(f"site {x} outside 1..{params.n_sites}")
-    j = _couplings_radfs(params, units)
+    j = _couplings_radfs(params)
     preds = {}
     for m, n in all_pairs(params.n_sites):
         if x in (m, n):
@@ -61,13 +61,13 @@ def short_time_oracle(x, params, units=UnitSystem()):
     return preds
 
 
-def dominant_pair(x, params, units=UnitSystem()):
+def dominant_pair(x, params):
     """The unique pair that can develop nonlocality right after exciting x.
 
     Requires J_xn^2 > sum of the squares of all other couplings out of x;
     at most one site n can satisfy this. Returns None when no pair does.
     """
-    j = _couplings_radfs(params, units)
+    j = _couplings_radfs(params)
     row = j[x - 1] ** 2
     total = row.sum()
     for n in range(1, params.n_sites + 1):
@@ -102,7 +102,7 @@ class FretInterferenceReport:
     non_paper_site: bool
 
 
-def fret_interference_report(x, basis, params=None, units=UnitSystem()):
+def fret_interference_report(x, basis):
     """Decompose the t=0 FRET state for site x into exciton contributions."""
     coeffs = basis.coeffs
     n_sites = coeffs.shape[0]

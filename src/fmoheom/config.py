@@ -44,6 +44,23 @@ def parse_config_text(text):
     return out
 
 
+def _integer(value):
+    """An integer from an int, an integral float or their text; 2.7 is refused."""
+    number = _parse_scalar(str(value))
+    if isinstance(number, float) and number.is_integer():
+        return int(number)
+    if not isinstance(number, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return number
+
+
+def _parse_kind(value):
+    kind = str(value)
+    if kind not in ("localized", "fret"):
+        raise ValueError(f"must be localized or fret, got {kind!r}")
+    return kind
+
+
 def _parse_pairs(value):
     if value == "all":
         return "all"
@@ -54,15 +71,53 @@ def _parse_pairs(value):
             m, n = chunk.split("-")
             m, n = int(m), int(n)
         except ValueError:
-            raise ConfigError(f"pairs: bad pair {chunk!r}, expected like 1-2") from None
+            raise ValueError(f"bad pair {chunk!r}, expected like 1-2") from None
         if m == n:
-            raise ConfigError(f"pairs: sites must differ in {chunk!r}")
+            raise ValueError(f"sites must differ in {chunk!r}")
         pairs.append((min(m, n), max(m, n)))
     return pairs
 
 
 def _parse_sites(value):
-    return tuple(int(s) for s in str(value).split(","))
+    return tuple(_integer(s) for s in str(value).split(","))
+
+
+def _unparse(value):
+    """Config text of a parsed value: sites as "3,4", pairs as "1-2,5-6"."""
+    if isinstance(value, (tuple, list)):
+        return ",".join("-".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                        for v in value)
+    return value
+
+
+# Every configuration key: dotted key -> (section, attribute, parser). The
+# "run" section holds the RunConfig fields themselves; "params" and
+# "integrator" are its SystemParams and IntegratorConfig. A key that is
+# not set takes the default of its attribute.
+_KEYS = {
+    "initial.kind": ("run", "initial_kind", _parse_kind),
+    "initial.site": ("run", "initial_site", _integer),
+    "system.truncation_N": ("params", "truncation_N", _integer),
+    "system.temperature_K": ("params", "temperature_K", float),
+    "system.lambda_cm": ("params", "lambda_cm", float),
+    "system.gamma_inv_fs": ("params", "gamma_inv_fs", float),
+    "system.trap_rate_inv_ps": ("params", "trap_rate_inv_ps", float),
+    "system.trap_sites": ("params", "trap_sites", _parse_sites),
+    "system.t_end_fs": ("params", "t_end_fs", float),
+    "system.dt_out_fs": ("params", "dt_out_fs", float),
+    "integrator.abs_tol": ("integrator", "abs_tol", float),
+    "integrator.rel_tol": ("integrator", "rel_tol", float),
+    "integrator.initial_step_fs": ("integrator", "initial_step_fs", float),
+    "integrator.max_step_fs": ("integrator", "max_step_fs", float),
+    "pairs": ("run", "pairs", _parse_pairs),
+}
+
+
+def _parse(key, parser, value):
+    try:
+        return parser(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -80,83 +135,45 @@ class RunConfig:
 
     def as_flat_dict(self):
         """Fully resolved configuration, suitable for the run manifest."""
-        p, ic = self.params, self.integrator
-        pairs = ("all" if self.pairs == "all"
-                 else ",".join(f"{m}-{n}" for m, n in self.pairs))
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "initial.kind": self.initial_kind,
-            "initial.site": self.initial_site,
-            "system.truncation_N": p.truncation_N,
-            "system.temperature_K": p.temperature_K,
-            "system.lambda_cm": p.lambda_cm,
-            "system.gamma_inv_fs": p.gamma_inv_fs,
-            "system.trap_rate_inv_ps": p.trap_rate_inv_ps,
-            "system.trap_sites": ",".join(str(s) for s in p.trap_sites),
-            "system.t_end_fs": p.t_end_fs,
-            "system.dt_out_fs": p.dt_out_fs,
-            "integrator.abs_tol": ic.abs_tol,
-            "integrator.rel_tol": ic.rel_tol,
-            "integrator.initial_step_fs": ic.initial_step_fs,
-            "integrator.max_step_fs": ic.max_step_fs,
-            "pairs": pairs,
-        }
-
-
-_SYSTEM_KEYS = {
-    "system.truncation_N": ("truncation_N", int),
-    "system.temperature_K": ("temperature_K", float),
-    "system.lambda_cm": ("lambda_cm", float),
-    "system.gamma_inv_fs": ("gamma_inv_fs", float),
-    "system.trap_rate_inv_ps": ("trap_rate_inv_ps", float),
-    "system.trap_sites": ("trap_sites", _parse_sites),
-    "system.t_end_fs": ("t_end_fs", float),
-    "system.dt_out_fs": ("dt_out_fs", float),
-}
-
-_INTEGRATOR_KEYS = {
-    "integrator.abs_tol": ("abs_tol", float),
-    "integrator.rel_tol": ("rel_tol", float),
-    "integrator.initial_step_fs": ("initial_step_fs", float),
-    "integrator.max_step_fs": ("max_step_fs", float),
-}
+        sections = {"run": self, "params": self.params,
+                    "integrator": self.integrator}
+        flat = {"schema_version": SCHEMA_VERSION}
+        for key, (section, attr, _) in _KEYS.items():
+            flat[key] = _unparse(getattr(sections[section], attr))
+        return flat
 
 
 def build_run_config(flat):
     """Validate a flat key dict and assemble a RunConfig."""
     flat = dict(flat)
-    version = flat.pop("schema_version", SCHEMA_VERSION)
-    if int(version) != SCHEMA_VERSION:
+    version = _parse("schema_version", _integer,
+                     flat.pop("schema_version", SCHEMA_VERSION))
+    if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: unsupported version {version}")
+    unknown = sorted(set(flat) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown configuration key: {unknown[0]}")
 
-    kind = str(flat.pop("initial.kind", "localized"))
-    if kind not in ("localized", "fret"):
-        raise ConfigError(f"initial.kind: must be localized or fret, got {kind!r}")
-    site = int(flat.pop("initial.site", 1))
-
-    sys_kwargs = {}
-    for key, (attr, conv) in _SYSTEM_KEYS.items():
-        if key in flat:
-            sys_kwargs[attr] = conv(flat.pop(key))
-    int_kwargs = {}
-    for key, (attr, conv) in _INTEGRATOR_KEYS.items():
-        if key in flat:
-            int_kwargs[attr] = conv(flat.pop(key))
-    pairs = _parse_pairs(flat.pop("pairs", "all"))
-
-    if flat:
-        bad = sorted(flat)[0]
-        raise ConfigError(f"unknown configuration key: {bad}")
-
+    kwargs = {"run": {"initial_kind": "localized", "initial_site": 1,
+                      "pairs": "all"},
+              "params": {}, "integrator": {}}
+    for key, value in flat.items():
+        section, attr, parser = _KEYS[key]
+        kwargs[section][attr] = _parse(key, parser, value)
     try:
-        params = SystemParams(**sys_kwargs)
-        integrator = IntegratorConfig(**int_kwargs)
+        params = SystemParams(**kwargs["params"])
+        integrator = IntegratorConfig(**kwargs["integrator"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 1 <= site <= params.n_sites:
-        raise ConfigError(f"initial.site: {site} outside 1..{params.n_sites}")
-    return RunConfig(initial_kind=kind, initial_site=site, params=params,
-                     integrator=integrator, pairs=pairs)
+    cfg = RunConfig(params=params, integrator=integrator, **kwargs["run"])
+
+    n_sites = params.n_sites
+    if not 1 <= cfg.initial_site <= n_sites:
+        raise ConfigError(f"initial.site: {cfg.initial_site} outside 1..{n_sites}")
+    for m, n in cfg.pair_list():
+        if not 1 <= m < n <= n_sites:
+            raise ConfigError(f"pairs: pair ({m},{n}) outside 1..{n_sites}")
+    return cfg
 
 
 def load_run_config(path=None, overrides=()):

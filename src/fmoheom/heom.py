@@ -14,7 +14,7 @@ coupling). Integration uses the adaptive Dormand-Prince 5(4) pair
 physical block only and sampled onto a uniform grid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import RK45
@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 
 from .hierarchy import enumerate_hierarchy
 from .linalg import commutator, anticommutator
-from .model import UnitSystem, build_hamiltonian, output_steps, thermal_prefactors
+from .model import build_hamiltonian, output_steps, thermal_prefactors
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,10 @@ class IntegrationError(RuntimeError):
     """Integration failed (step-size underflow or tolerance not met)."""
 
 
-def shifted_hamiltonian(params, units=UnitSystem()):
+def shifted_hamiltonian(params):
     """H_e plus the site reorganization shifts, in rad/fs."""
-    h = build_hamiltonian(params, units)
-    lam = thermal_prefactors(params, units).lam
+    h = build_hamiltonian(params)
+    lam = thermal_prefactors(params).lam
     return h + np.diag(lam.astype(complex))
 
 
@@ -127,13 +127,12 @@ def _neighbor_coupling(neighbors, values, count, n):
 class HEOMPropagator:
     """Precomputed HEOM right-hand side and integrator for fixed parameters."""
 
-    def __init__(self, params, config=None, units=UnitSystem()):
+    def __init__(self, params, config=None):
         self.params = params
         self.config = config or IntegratorConfig()
-        self.units = units
         self.space = enumerate_hierarchy(params.n_sites, params.truncation_N)
-        self.pref = thermal_prefactors(params, units)
-        self.h_shifted = shifted_hamiltonian(params, units)
+        self.pref = thermal_prefactors(params)
+        self.h_shifted = shifted_hamiltonian(params)
 
         n = params.n_sites
         # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
@@ -253,11 +252,6 @@ class HEOMPropagator:
         return Trajectory(times_fs=times, rhos=rhos, hierarchy_count=self.count)
 
 
-def integrate(rho0, params, config=None):
-    """One-shot integration with parameters taken from `params`."""
-    return HEOMPropagator(params, config).run(rho0)
-
-
 def convergence_study(rho0, params, n_values, config=None):
     """Trace-distance convergence D(N, N+1) maximized over the output grid.
 
@@ -270,7 +264,7 @@ def convergence_study(rho0, params, n_values, config=None):
     needed = sorted(set(n_values) | {v + 1 for v in n_values})
     trajs = {}
     for n_trunc in needed:
-        p = params.with_overrides(truncation_N=n_trunc)
+        p = replace(params, truncation_N=n_trunc)
         trajs[n_trunc] = HEOMPropagator(p, config).run(rho0)
     out = []
     for n_trunc in n_values:

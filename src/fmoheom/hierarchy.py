@@ -81,26 +81,6 @@ class HierarchyIndexSpace:
     def depths(self):
         return self.indices.sum(axis=1)
 
-    def rank(self, n):
-        """Flat rank of a multi-index tuple."""
-        key = tuple(int(v) for v in n)
-        try:
-            return self._rank_map[key]
-        except KeyError:
-            raise KeyError(f"multi-index {key} not in hierarchy") from None
-
-    def unrank(self, i):
-        return tuple(int(v) for v in self.indices[i])
-
-    @property
-    def _rank_map(self):
-        # Built lazily; cached on the instance despite frozen dataclass.
-        m = getattr(self, "_rank_map_cache", None)
-        if m is None:
-            m = {tuple(int(v) for v in row): i for i, row in enumerate(self.indices)}
-            object.__setattr__(self, "_rank_map_cache", m)
-        return m
-
 
 def enumerate_hierarchy(n_sites, depth_max):
     """Build the full HierarchyIndexSpace for sum(n) <= depth_max."""

@@ -6,7 +6,7 @@ Site indices are 1-based in every public interface.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,12 +17,6 @@ C_CM_PER_FS = 2.99792458e-5
 CM_TO_RADFS = 2.0 * np.pi * C_CM_PER_FS
 # Boltzmann constant in cm^-1 per kelvin.
 KB_CM_PER_K = 0.69503
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    cm_to_radfs: float = CM_TO_RADFS
-    kB_cm_per_K: float = KB_CM_PER_K
 
 
 # Electronic Hamiltonian of one FMO monomer (Chlorobaculum tepidum) in cm^-1.
@@ -96,9 +90,6 @@ class SystemParams:
                 f"trap_sites must not repeat a site, got {self.trap_sites}")
         object.__setattr__(self, "hamiltonian_cm", h)
 
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
-
     @property
     def trap_rate_inv_fs(self):
         """Trap rate r_trap in fs^-1 (input time scale is in ps)."""
@@ -125,9 +116,9 @@ def output_steps(t_end_fs, dt_out_fs):
     return steps
 
 
-def build_hamiltonian(params, units=UnitSystem()):
+def build_hamiltonian(params):
     """Electronic Hamiltonian as a complex matrix in rad/fs."""
-    return params.hamiltonian_cm.astype(complex) * units.cm_to_radfs
+    return params.hamiltonian_cm.astype(complex) * CM_TO_RADFS
 
 
 @dataclass(frozen=True)
@@ -204,12 +195,12 @@ class ThermalPrefactors:
     theta_anti: np.ndarray
 
 
-def thermal_prefactors(params, units=UnitSystem()):
+def thermal_prefactors(params):
     """Convert bath parameters to the coefficient families used by the hierarchy."""
     n = params.n_sites
-    lam = np.full(n, params.lambda_cm * units.cm_to_radfs)
+    lam = np.full(n, params.lambda_cm * CM_TO_RADFS)
     gamma = np.full(n, 1.0 / params.gamma_inv_fs)
-    kT_radfs = units.kB_cm_per_K * params.temperature_K * units.cm_to_radfs
+    kT_radfs = KB_CM_PER_K * params.temperature_K * CM_TO_RADFS
     theta_comm = 2.0 * lam * kT_radfs  # 2*lambda/beta with beta = 1/kT
     theta_anti = lam * gamma
     return ThermalPrefactors(lam=lam, gamma=gamma, theta_comm=theta_comm,

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,67 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_run_config(overrides=[item])
 
+    @pytest.mark.parametrize("item", ["system.truncation_N=2.7",
+                                      "system.truncation_N=inf",
+                                      "initial.site=2.6",
+                                      "system.trap_sites=3.5,4",
+                                      "schema_version=1.5",
+                                      "system.lambda_cm=abc",
+                                      "system.trap_sites=a",
+                                      "integrator.abs_tol=x",
+                                      "schema_version=x"])
+    def test_bad_value_names_key(self, item):
+        key = item.split("=")[0]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_run_config(overrides=[item])
+
+    def test_resolved_manifest(self, tmp_path):
+        # Compared as JSON text, so 300 and 300.0 differ as they do in
+        # run_manifest.json.
+        defaults = {
+            "schema_version": 1,
+            "initial.kind": "localized",
+            "initial.site": 1,
+            "system.truncation_N": 12,
+            "system.temperature_K": 300.0,
+            "system.lambda_cm": 35.0,
+            "system.gamma_inv_fs": 50.0,
+            "system.trap_rate_inv_ps": 1.0,
+            "system.trap_sites": "3,4",
+            "system.t_end_fs": 1000.0,
+            "system.dt_out_fs": 1.0,
+            "integrator.abs_tol": 1e-10,
+            "integrator.rel_tol": 1e-8,
+            "integrator.initial_step_fs": 0.01,
+            "integrator.max_step_fs": 10.0,
+            "pairs": "all",
+        }
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "initial.kind = fret\n"
+            "initial.site = 6\n"
+            "system.truncation_N = 4\n"
+            "system.trap_sites = 4,3\n"
+            "pairs = 5-6,2-1\n"
+        )
+        cfg = load_run_config(cfg_file, overrides=[
+            "system.truncation_N=3", "system.temperature_K=77",
+            "integrator.abs_tol=1e-12", "system.t_end_fs=500"])
+        resolved = dict(defaults, **{
+            "initial.kind": "fret",
+            "initial.site": 6,
+            "system.truncation_N": 3,
+            "system.temperature_K": 77.0,
+            "system.trap_sites": "4,3",
+            "system.t_end_fs": 500.0,
+            "integrator.abs_tol": 1e-12,
+            "pairs": "5-6,1-2",
+        })
+        for got, want in [(load_run_config().as_flat_dict(), defaults),
+                          (cfg.as_flat_dict(), resolved)]:
+            assert (json.dumps(got, sort_keys=True)
+                    == json.dumps(want, sort_keys=True))
+
     def test_parse_syntax_error(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not a key value line")
@@ -111,6 +173,14 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "t_end_fs" in err and "dt_out_fs" in err
+        assert not out.exists()
+
+    def test_pair_outside_sites_fails_before_running(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--out", str(out), "--set", "system.truncation_N=2",
+                   "--set", "system.t_end_fs=200", "--set", "pairs=1-9"])
+        assert rc == 1
+        assert "pairs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):

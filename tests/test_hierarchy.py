@@ -52,7 +52,7 @@ class TestOrdering:
 
     def test_root_first(self):
         space = enumerate_hierarchy(7, 3)
-        assert space.unrank(0) == (0,) * 7
+        assert not space.indices[0].any()
 
 
 class TestAdjacency:
@@ -60,10 +60,6 @@ class TestAdjacency:
     @staticmethod
     def space():
         return enumerate_hierarchy(7, 4)
-
-    def test_rank_unrank_roundtrip(self, space):
-        for i in range(space.count):
-            assert space.rank(space.unrank(i)) == i
 
     def test_plus_minus_roundtrip(self, space):
         for i in range(space.count):
@@ -97,7 +93,3 @@ class TestAdjacency:
                 down[k] -= 1
                 assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
                 assert space.neighbors_minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)
-
-    def test_unknown_index_rejected(self, space):
-        with pytest.raises(KeyError):
-            space.rank((5, 0, 0, 0, 0, 0, 0))

@@ -7,7 +7,6 @@ from fmoheom.model import (
     FMO_HAMILTONIAN_CM,
     KB_CM_PER_K,
     SystemParams,
-    UnitSystem,
     build_hamiltonian,
     exciton_basis,
     fret_state,
