@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import all_pairs, closed_form_measures, horodecki_M, reduce_pair
+from .measures import all_pairs, horodecki_M, reduce_pair
 from .model import CM_TO_RADFS, fret_state
 
 
@@ -27,17 +27,11 @@ class ShortTimePrediction:
     quadratic_C_coeff: float  # (rad/fs)^2
 
 
-def _couplings_radfs(params):
-    j = params.hamiltonian_cm * CM_TO_RADFS
-    j = j - np.diag(np.diag(j))
-    return j
-
-
 def short_time_oracle(x, params):
     """Leading-order C and B growth for every pair, from the coupling row of x."""
     if not 1 <= x <= params.n_sites:
         raise ValueError(f"site {x} outside 1..{params.n_sites}")
-    j = _couplings_radfs(params)
+    j = params.hamiltonian_cm * CM_TO_RADFS  # only off-diagonal entries are read
     preds = {}
     for m, n in all_pairs(params.n_sites):
         if x in (m, n):
@@ -64,16 +58,13 @@ def short_time_oracle(x, params):
 def dominant_pair(x, params):
     """The unique pair that can develop nonlocality right after exciting x.
 
-    Requires J_xn^2 > sum of the squares of all other couplings out of x;
-    at most one site n can satisfy this. Returns None when no pair does.
+    That is the pair whose B grows linearly (slope_B > 0 in
+    short_time_oracle): J_xn^2 exceeds the sum of the squares of all other
+    couplings out of x, which at most one site n can satisfy. Returns None
+    when no pair does.
     """
-    j = _couplings_radfs(params)
-    row = j[x - 1] ** 2
-    total = row.sum()
-    for n in range(1, params.n_sites + 1):
-        if n != x and row[n - 1] > total - row[n - 1]:
-            return (min(x, n), max(x, n))
-    return None
+    preds = short_time_oracle(x, params)
+    return next((pair for pair, p in preds.items() if p.slope_B > 0), None)
 
 
 @dataclass(frozen=True)

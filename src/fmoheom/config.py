@@ -7,6 +7,7 @@ localized/FRET x in {1, 6}, N = 12, 300 K, lambda = 35 cm^-1,
 gamma^-1 = 50 fs, trap time 1 ps, 1000 fs of dynamics.
 """
 
+import re
 from dataclasses import dataclass
 
 from .heom import IntegratorConfig
@@ -113,6 +114,11 @@ _KEYS = {
 }
 
 
+# Attribute -> dotted key, to name the key in SystemParams/IntegratorConfig errors.
+_ATTR_KEYS = {attr: key for key, (section, attr, _) in _KEYS.items()
+              if section != "run"}
+
+
 def _parse(key, parser, value):
     try:
         return parser(value)
@@ -164,7 +170,8 @@ def build_run_config(flat):
         params = SystemParams(**kwargs["params"])
         integrator = IntegratorConfig(**kwargs["integrator"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        message = re.sub(r"\w+", lambda w: _ATTR_KEYS.get(w[0], w[0]), str(exc))
+        raise ConfigError(message) from exc
     cfg = RunConfig(params=params, integrator=integrator, **kwargs["run"])
 
     n_sites = params.n_sites

@@ -33,10 +33,10 @@ class IntegratorConfig:
     max_step_fs: float = 10.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_step_fs <= 0 or self.max_step_fs <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("abs_tol", "rel_tol", "initial_step_fs", "max_step_fs"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 class IntegrationError(RuntimeError):

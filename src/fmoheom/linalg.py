@@ -19,28 +19,32 @@ class NonHermitianError(ValueError):
     """Raised when a matrix required to be Hermitian is not, beyond tolerance."""
 
 
-def hermiticity_defect(a):
-    """Return max|a - a^dagger| over all entries."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def check_hermitian(a, rtol=1e-9, name="matrix"):
-    """Validate that `a` is square and Hermitian to a relative tolerance.
+    """Validate that `a`, a square matrix or a stack of them, is Hermitian.
 
-    The defect max|A - A^dagger| is compared against rtol * max|A|
-    (with a floor of rtol for near-zero matrices).
+    Each matrix's defect max|A - A^dagger| is compared against rtol times
+    its own max|A|, with a floor of rtol for near-zero matrices.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(float(np.max(np.abs(a))), 1.0) if a.size else 1.0
-    defect = hermiticity_defect(a)
-    if defect > rtol * scale:
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
+    defect = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(defect > rtol * scale)
+    if bad.size:
+        d, s = defect.flat[bad[0]], scale.flat[bad[0]]
         raise NonHermitianError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds "
-            f"{rtol:.1e} * max|entry| = {rtol * scale:.3e}"
+            f"{name} is not Hermitian: defect {d:.3e} exceeds "
+            f"{rtol:.1e} * max|entry| = {rtol * s:.3e}"
         )
+    return a
+
+
+def check_hermitian_matrix(a, rtol=1e-9, name="matrix"):
+    """check_hermitian for functions that take one matrix, not a stack."""
+    a = check_hermitian(a, rtol=rtol, name=name)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be one matrix, got shape {a.shape}")
     return a
 
 
@@ -52,7 +56,7 @@ def hermitian_eigen(a, rtol=1e-9):
     largest-magnitude component is real and positive, which makes the sign
     pattern of the coefficients deterministic.
     """
-    a = check_hermitian(a, rtol=rtol, name="eigen input")
+    a = check_hermitian_matrix(a, rtol=rtol, name="eigen input")
     vals, vecs = np.linalg.eigh(a)
     vecs = vecs.copy()
     for i in range(vecs.shape[1]):
@@ -69,12 +73,10 @@ def trace_distance(a, b, rtol=1e-6):
     The relative Hermiticity tolerance is loose by default because the
     inputs are typically states sampled along an integrated trajectory.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = check_hermitian_matrix(a, rtol=rtol, name="trace_distance A")
+    b = check_hermitian_matrix(b, rtol=rtol, name="trace_distance B")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    check_hermitian(a, rtol=rtol, name="trace_distance A")
-    check_hermitian(b, rtol=rtol, name="trace_distance B")
     d = a - b
     d = 0.5 * (d + d.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(d))))

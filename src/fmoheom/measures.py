@@ -15,16 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, SIGMA_Y, check_hermitian
+from .linalg import PAULI, check_hermitian, check_hermitian_matrix
 
 # Basis ordering of the 4x4 pair state, qubit m first:
 # index 0 = |0_m 0_n>, 1 = |0_m 1_n>, 2 = |1_m 0_n>, 3 = |1_m 1_n>.
 GROUND_GROUND, N_EXCITED, M_EXCITED, DOUBLE = 0, 1, 2, 3
 
+# PAULI_PAIRS[a, b] = sigma_a (x) sigma_b, the nine two-qubit Pauli products.
+PAULI_PAIRS = np.einsum("aij,bkl->abikjl", PAULI, PAULI).reshape(3, 3, 4, 4)
+
 
 @dataclass(frozen=True)
 class ReducedPairState:
-    """Two-chromophore reduced state for sites m < n (1-based)."""
+    """Reduced state of sites m < n (1-based): one 4x4 matrix or a stack."""
 
     m: int
     n: int
@@ -33,21 +36,22 @@ class ReducedPairState:
 
     @property
     def pop_m(self):
-        return float(self.matrix[M_EXCITED, M_EXCITED].real)
+        return self.matrix[..., M_EXCITED, M_EXCITED].real
 
     @property
     def pop_n(self):
-        return float(self.matrix[N_EXCITED, N_EXCITED].real)
+        return self.matrix[..., N_EXCITED, N_EXCITED].real
 
     @property
     def coherence(self):
         """The site-basis coherence rho_mn (complex)."""
-        return complex(self.matrix[N_EXCITED, M_EXCITED])
+        return self.matrix[..., N_EXCITED, M_EXCITED]
 
 
 def reduce_pair(rho, m, n):
     """Trace out all chromophores except m and n from the 7x7 state.
 
+    `rho` is one state or a (T, 7, 7) stack, reduced matrix by matrix.
     The ground-ground population is Tr(rho) - rho_mm - rho_nn; the
     double-excitation row and column are identically zero.
     """
@@ -56,37 +60,32 @@ def reduce_pair(rho, m, n):
     if m > n:
         m, n = n, m
     rho = check_hermitian(rho, rtol=1e-6, name="full state")
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     if not (1 <= m <= dim and 1 <= n <= dim):
         raise ValueError(f"pair ({m},{n}) outside 1..{dim}")
-    tr = float(np.trace(rho).real)
-    if tr > 1.0 + 1e-9:
-        raise ValueError(f"state trace {tr} exceeds 1")
-    p_m = float(rho[m - 1, m - 1].real)
-    p_n = float(rho[n - 1, n - 1].real)
-    c = complex(rho[m - 1, n - 1])
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(tr > 1.0 + 1e-9):
+        raise ValueError(f"state trace {np.max(tr)} exceeds 1")
+    p_m = rho[..., m - 1, m - 1].real
+    p_n = rho[..., n - 1, n - 1].real
+    c = rho[..., m - 1, n - 1]
     gg = tr - p_m - p_n
-    if gg < -1e-9:
-        raise ValueError(
-            f"negative ground-ground population {gg:.3e}; full state is corrupted"
-        )
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[GROUND_GROUND, GROUND_GROUND] = gg
-    mat[N_EXCITED, N_EXCITED] = p_n
-    mat[M_EXCITED, M_EXCITED] = p_m
-    mat[N_EXCITED, M_EXCITED] = c
-    mat[M_EXCITED, N_EXCITED] = np.conj(c)
+    if np.any(gg < -1e-9):
+        raise ValueError(f"negative ground-ground population {np.min(gg):.3e}; "
+                         "full state is corrupted")
+    mat = np.zeros(rho.shape[:-2] + (4, 4), dtype=complex)
+    mat[..., GROUND_GROUND, GROUND_GROUND] = gg
+    mat[..., N_EXCITED, N_EXCITED] = p_n
+    mat[..., M_EXCITED, M_EXCITED] = p_m
+    mat[..., N_EXCITED, M_EXCITED] = c
+    mat[..., M_EXCITED, N_EXCITED] = np.conj(c)
     return ReducedPairState(m=m, n=n, matrix=mat, source_trace=tr)
 
 
 def correlation_matrix(rho4):
     """3x3 Pauli correlation matrix t_ab = Tr(rho sigma_a x sigma_b)."""
-    rho4 = check_hermitian(rho4, rtol=1e-6, name="pair state")
-    t = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            t[a, b] = np.trace(rho4 @ np.kron(PAULI[a], PAULI[b])).real
-    return t
+    rho4 = check_hermitian_matrix(rho4, rtol=1e-6, name="pair state")
+    return np.einsum("ij,abji->ab", rho4, PAULI_PAIRS).real
 
 
 def horodecki_M(rho4):
@@ -107,6 +106,8 @@ def nonlocality_B(rho4):
 
 @dataclass(frozen=True)
 class PairMeasures:
+    """Closed-form measures of one reduced state, or arrays over a stack."""
+
     B: float
     C: float
     l1: float
@@ -120,13 +121,16 @@ def closed_form_measures(reduced):
     The correlation-matrix spectrum for this family is mu1 = mu2 =
     4|rho_mn|^2 and mu3 = (Tr - 2(rho_mm + rho_nn))^2, so
     M = max(8|rho_mn|^2, 4|rho_mn|^2 + mu3); concurrence and l1 coherence
-    both equal 2|rho_mn|.
+    both equal 2|rho_mn|. Elementwise over a stack of reduced states;
+    hypot and float_power round exactly as abs(complex) and x ** 2 do on
+    Python scalars.
     """
-    c_abs = abs(reduced.coherence)
-    mu1 = 4.0 * c_abs ** 2
-    mu3 = (reduced.source_trace - 2.0 * (reduced.pop_m + reduced.pop_n)) ** 2
-    m_val = max(2.0 * mu1, mu1 + mu3)
-    b = float(np.sqrt(max(m_val - 1.0, 0.0)))
+    coherence = reduced.coherence
+    c_abs = np.hypot(coherence.real, coherence.imag)
+    mu1 = 4.0 * np.float_power(c_abs, 2)
+    mu3 = np.float_power(
+        reduced.source_trace - 2.0 * (reduced.pop_m + reduced.pop_n), 2)
+    b = np.sqrt(np.maximum(np.maximum(2.0 * mu1, mu1 + mu3) - 1.0, 0.0))
     c = 2.0 * c_abs
     return PairMeasures(B=b, C=c, l1=c, mu1=mu1, mu3=mu3)
 
@@ -138,11 +142,11 @@ def wootters_concurrence(rho4):
     single-excitation reduced states this equals 2|rho_mn| including the
     trace-deficient case.
     """
-    rho4 = check_hermitian(rho4, rtol=1e-6, name="pair state")
+    rho4 = check_hermitian_matrix(rho4, rtol=1e-6, name="pair state")
     evals = np.linalg.eigvalsh(rho4)
     if evals[0] < -1e-8 * max(evals[-1], 1.0):
         raise ValueError(f"pair state is not positive (min eigenvalue {evals[0]:.3e})")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
+    yy = PAULI_PAIRS[1, 1]
     # The eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)) are the
     # square roots of the eigenvalues of rho @ rho_tilde.
     rho_tilde = yy @ rho4.conj() @ yy
@@ -153,8 +157,8 @@ def wootters_concurrence(rho4):
 
 def positivity_bound_check(reduced, tol=1e-9):
     """|rho_mn| <= sqrt(rho_mm rho_nn), forced by positivity of the pair state."""
-    bound = np.sqrt(max(reduced.pop_m, 0.0) * max(reduced.pop_n, 0.0))
-    return abs(reduced.coherence) <= bound + tol
+    bound = np.sqrt(np.maximum(reduced.pop_m, 0.0) * np.maximum(reduced.pop_n, 0.0))
+    return np.abs(reduced.coherence) <= bound + tol
 
 
 @dataclass(frozen=True)
@@ -173,17 +177,10 @@ class CorrelationTimeSeries:
 
 def pair_series(trajectory, m, n):
     """Closed-form measures for pair (m, n) at every output time."""
-    T = trajectory.times_fs.shape[0]
-    cols = {k: np.empty(T) for k in ("B", "C", "l1", "mu1", "mu3")}
-    for i in range(T):
-        meas = closed_form_measures(reduce_pair(trajectory.rhos[i], m, n))
-        cols["B"][i] = meas.B
-        cols["C"][i] = meas.C
-        cols["l1"][i] = meas.l1
-        cols["mu1"][i] = meas.mu1
-        cols["mu3"][i] = meas.mu3
-    mm, nn = min(m, n), max(m, n)
-    return CorrelationTimeSeries(m=mm, n=nn, times_fs=trajectory.times_fs, **cols)
+    reduced = reduce_pair(trajectory.rhos, m, n)
+    return CorrelationTimeSeries(m=reduced.m, n=reduced.n,
+                                 times_fs=trajectory.times_fs,
+                                 **vars(closed_form_measures(reduced)))
 
 
 def all_pairs(n_sites=7):

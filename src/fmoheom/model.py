@@ -84,7 +84,7 @@ class SystemParams:
         output_steps(self.t_end_fs, self.dt_out_fs)
         for s in self.trap_sites:
             if not 1 <= s <= self.n_sites:
-                raise ValueError(f"trap site {s} outside 1..{self.n_sites}")
+                raise ValueError(f"trap_sites: site {s} outside 1..{self.n_sites}")
         if len(set(self.trap_sites)) != len(self.trap_sites):
             raise ValueError(
                 f"trap_sites must not repeat a site, got {self.trap_sites}")

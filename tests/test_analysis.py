@@ -59,6 +59,11 @@ class TestDominantPair:
         expected = (3, 4) if j34 > row.sum() - j34 else None
         assert dominant_pair(3, params) == expected
 
+    @pytest.mark.parametrize("x", [0, 8])
+    def test_site_outside_rejected(self, params, x):
+        with pytest.raises(ValueError, match=f"site {x} outside"):
+            dominant_pair(x, params)
+
     def test_at_most_one_pair(self, params):
         for x in range(1, 8):
             h = params.hamiltonian_cm

@@ -72,11 +72,23 @@ class TestConfig:
                                       "system.lambda_cm=abc",
                                       "system.trap_sites=a",
                                       "integrator.abs_tol=x",
-                                      "schema_version=x"])
+                                      "schema_version=x",
+                                      "integrator.abs_tol=-1",
+                                      "integrator.rel_tol=0",
+                                      "integrator.max_step_fs=0",
+                                      "system.lambda_cm=-1",
+                                      "system.trap_sites=3,9",
+                                      "system.truncation_N=-1"])
     def test_bad_value_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_run_config(overrides=[item])
+
+    def test_grid_error_names_both_keys(self):
+        with pytest.raises(ConfigError) as err:
+            load_run_config(overrides=["system.t_end_fs=11", "system.dt_out_fs=4"])
+        assert "system.t_end_fs" in str(err.value)
+        assert "system.dt_out_fs" in str(err.value)
 
     def test_resolved_manifest(self, tmp_path):
         # Compared as JSON text, so 300 and 300.0 differ as they do in

@@ -1,17 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmoheom.linalg import (
     NonHermitianError,
     PAULI,
     anticommutator,
+    check_hermitian,
     commutator,
     hermitian_eigen,
     trace_distance,
 )
+from fmoheom.measures import horodecki_M, wootters_concurrence
 from fmoheom.model import FMO_HAMILTONIAN_CM
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_pair_state
+
+
+def _fails_check(a):
+    try:
+        check_hermitian(a)
+    except NonHermitianError:
+        return True
+    return False
+
+
+class TestCheckHermitian:
+    @settings(deadline=None)
+    @given(dim=st.integers(1, 4),
+           members=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                      st.none() | st.floats(-12.0, -6.0)),
+                            min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_fails_iff_a_member_fails(self, dim, members, seed):
+        # Members differ in scale by up to 10^6 and carry anti-Hermitian
+        # defects around the 1e-9 relative tolerance, or none at all.
+        rng = np.random.default_rng(seed)
+        stack = []
+        for log_scale, log_defect in members:
+            a = 10.0**log_scale * random_hermitian(rng, dim)
+            if log_defect is not None:
+                noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                a = a + 10.0**(log_scale + log_defect) * noise
+            stack.append(a)
+        assert _fails_check(np.array(stack)) == any(map(_fails_check, stack))
+
+    @pytest.mark.parametrize("func", [
+        lambda s: trace_distance(s, s),
+        hermitian_eigen,
+        horodecki_M,
+        wootters_concurrence,
+    ], ids=["trace_distance", "hermitian_eigen", "horodecki_M",
+            "wootters_concurrence"])
+    def test_single_matrix_functions_reject_stacks(self, func):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_pair_state(rng)[0] for _ in range(3)])
+        with pytest.raises(ValueError, match="one matrix"):
+            func(stack)
 
 
 class TestHermitianEigen:

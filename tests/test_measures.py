@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from fmoheom.heom import HEOMPropagator
+from fmoheom.linalg import PAULI
 from fmoheom.measures import (
+    all_pairs,
     closed_form_measures,
     correlation_matrix,
     horodecki_M,
@@ -77,6 +82,15 @@ class TestHorodecki:
         r = reduce_pair(fret_state(1, basis), 1, 2)
         assert abs(horodecki_M(r.matrix) - 0.964) < 0.01
         assert nonlocality_B(r.matrix) == 0.0
+
+    def test_correlation_matches_kronecker_definition(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            mat, *_ = random_pair_state(rng)
+            expected = np.array([[np.trace(mat @ np.kron(sa, sb)).real
+                                  for sb in PAULI] for sa in PAULI])
+            np.testing.assert_allclose(correlation_matrix(mat), expected,
+                                       rtol=0, atol=1e-15)
 
     def test_correlation_entries_bounded(self):
         rng = np.random.default_rng(10)
@@ -160,6 +174,11 @@ class TestPositivityBound:
                              .astype(complex), source_trace=1.0)
         assert positivity_bound_check(r)
 
+    def test_elementwise_over_a_trajectory(self, traj_x1_n6):
+        within = positivity_bound_check(reduce_pair(traj_x1_n6.rhos, 1, 2))
+        assert within.shape == traj_x1_n6.times_fs.shape
+        assert within.all()
+
     def test_small_population_lemma(self):
         # Tr <= 1 and pop_m + pop_n <= 0.1 implies M <= 1.
         rng = np.random.default_rng(13)
@@ -187,3 +206,52 @@ class TestPairSeries:
             assert abs(s.B[i] - nonlocality_B(r.matrix)) < 1e-10
             assert abs(s.C[i] - wootters_concurrence(r.matrix)) < 1e-10
             assert positivity_bound_check(r)
+
+    @pytest.fixture(scope="class")
+    def traj_fret1(self, basis):
+        params = SystemParams(truncation_N=3, t_end_fs=100.0, dt_out_fs=0.5)
+        return HEOMPropagator(params).run(fret_state(1, basis))
+
+    @pytest.mark.parametrize("name", ["traj_x1_n6", "traj_fret1"])
+    def test_equals_per_sample_closed_form(self, name, request):
+        traj = request.getfixturevalue(name)
+        for m, n in all_pairs():
+            s = pair_series(traj, m, n)
+            per_sample = [closed_form_measures(reduce_pair(rho, m, n))
+                          for rho in traj.rhos]
+            for field in ("B", "C", "l1", "mu1", "mu3"):
+                expected = [getattr(p, field) for p in per_sample]
+                assert np.array_equal(getattr(s, field), expected), (m, n, field)
+
+    def test_rounds_like_python_scalars(self, traj_x1_n6):
+        # The CLI's CSV bytes rest on the rounding of abs(complex) and x ** 2
+        # on Python floats; array abs and ** 2 differ in the last bit.
+        for m, n in all_pairs():
+            s = pair_series(traj_x1_n6, m, n)
+            for i, rho in enumerate(traj_x1_n6.rhos):
+                c_abs = abs(complex(rho[m - 1, n - 1]))
+                pops = float(rho[m - 1, m - 1].real) + float(rho[n - 1, n - 1].real)
+                assert s.C[i] == 2.0 * c_abs
+                assert s.mu1[i] == 4.0 * c_abs ** 2
+                assert s.mu3[i] == (float(np.trace(rho).real) - 2.0 * pops) ** 2
+
+    @pytest.mark.parametrize("corruption", ["non_hermitian", "trace_above_1",
+                                            "negative_ground_ground"])
+    def test_raises_reduce_pair_error_for_one_bad_sample(self, traj_x1_n6,
+                                                         corruption):
+        rhos = traj_x1_n6.rhos.copy()
+        k = rhos.shape[0] // 2
+        if corruption == "non_hermitian":
+            rhos[k, 0, 1] += 1e-3
+        elif corruption == "trace_above_1":
+            rhos[k, 6, 6] += 1.0 - np.trace(rhos[k]).real + 1e-6
+        else:
+            shift = reduce_pair(rhos[k], 1, 2).matrix[0, 0].real + 0.01
+            rhos[k, 0, 0] += shift
+            rhos[k, 6, 6] -= shift
+        with pytest.raises(ValueError) as single:
+            reduce_pair(rhos[k], 1, 2)
+        bad = dataclasses.replace(traj_x1_n6, rhos=rhos)
+        with pytest.raises(type(single.value)) as series:
+            pair_series(bad, 1, 2)
+        assert str(series.value) == str(single.value)
