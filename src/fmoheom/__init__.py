@@ -11,11 +11,12 @@ from .analysis import (
 from .heom import (
     HEOMPropagator,
     IntegratorConfig,
+    IntegratorStats,
     Trajectory,
     convergence_study,
 )
 from .hierarchy import enumerate_hierarchy, hierarchy_count
-from .linalg import commutator, anticommutator, hermitian_eigen, trace_distance
+from .linalg import hermitian_eigen, trace_distance
 from .measures import (
     CorrelationTimeSeries,
     ReducedPairState,

@@ -77,8 +77,6 @@ def cmd_simulate(cfg, outdir, args):
 
 
 def cmd_converge(cfg, outdir, args):
-    if args.n_min >= args.n_max:
-        raise ConfigError("--n-min must be smaller than --n-max")
     results = heom.convergence_study(
         _initial_state(cfg), cfg.params,
         range(args.n_min, args.n_max + 1), cfg.integrator,
@@ -196,10 +194,23 @@ def build_parser():
     return parser
 
 
+def _check_args(args):
+    """Reject bad subcommand arguments before any output or integration."""
+    if args.command == "converge":
+        if args.n_min < 0:
+            raise ConfigError(f"--n-min must be nonnegative, got {args.n_min}")
+        if args.n_min >= args.n_max:
+            raise ConfigError(f"--n-min must be smaller than --n-max, got "
+                              f"{args.n_min} and {args.n_max}")
+    if args.command == "sudden-death":
+        analysis.check_threshold(args.threshold, name="--threshold")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         cfg = load_run_config(args.config, args.overrides)
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)

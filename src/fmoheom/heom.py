@@ -1,28 +1,76 @@
 """Hierarchically coupled equations of motion for the FMO monomer.
 
-The full hierarchy state is a (count, n, n) complex array of auxiliary
-operators zeta(n); slot 0 is the physical density operator. The
-right-hand side works on two (count * n, n) row-block layouts of that
-state: z2, in which row c * n + k is row k of node c, and zt2, the same
-view of the per-node transposes, in which that row is column k of node c.
-Each layout is multiplied by one 7x7 matrix (the unitary part with
-trapping folded into a non-Hermitian H_eff) and by one constant sparse
-coupling with a fixed number of entries per row (the up and down
-neighbours of the hierarchy, and damping on the diagonal of the row
-coupling). Integration uses the adaptive Dormand-Prince 5(4) pair
-(scipy's RK45); the dense output of each step is evaluated for the
-physical block only and sampled onto a uniform grid.
+Every coupling of this HEOM preserves Hermiticity, so a Hermitian physical
+state keeps every auxiliary operator zeta(n) Hermitian. Each node is
+stored as the real n x n matrix Q = Re zeta + Im zeta: its symmetric part
+is Re zeta and its antisymmetric part Im zeta, so Q determines zeta
+(`to_real`, `from_real`). The hierarchy state is a (count, n, n) float
+array; slot 0 is the physical density operator.
+
+The derivative of each node is P + P^dagger with
+
+    P = zeta X + sum_k i V_k zeta+_k + sum_k n_k (i a_k + b_k) V_k zeta-_k
+        - 1/2 sum_k n_k gamma_k zeta,    X = i H_eff^dagger,
+
+where V_k = |k><k|, a_k and b_k are the commutator and anticommutator
+coefficients of Theta_k, and trapping is the anti-Hermitian part of H_eff.
+The right-hand side forms Y = Q - i Q^T = (1 - i) zeta in the
+(count * n, n) row-block layout and evaluates P' = (1 - i) P = Y X + R' Y:
+one 7x7 GEMM and one constant CSR coupling R' with three entries per row
+(down neighbour, damping, up neighbour). The derivative of Q is then
+Re P' - (Im P')^T.
+
+Integration is the adaptive Dormand-Prince 5(4) pair with the step
+control of scipy's RK45, in a loop that owns every state-sized buffer.
+Its RMS error norm is taken over the moduli |zeta_ij| =
+sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the complex
+state, so the step sequence is that of RK45 on zeta. The dense output of
+each step is evaluated for the physical block only and sampled onto a
+uniform grid.
 """
 
+import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import RK45
 from scipy.sparse import csr_matrix
 
 from .hierarchy import enumerate_hierarchy
-from .linalg import commutator, anticommutator
+from .linalg import check_hermitian_matrix
 from .model import build_hamiltonian, output_steps, thermal_prefactors
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5).
+# Row s of _A gives stage s from stages 0..s-1; the last row is the
+# fifth-order solution, whose derivative is the first stage of the next
+# step (FSAL). _E is the fifth- minus fourth-order weight over all seven
+# stages and _P the quartic dense-output polynomial of scipy's RK45
+# (Shampine, Math. Comp. 46, 135 (1986)).
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656, 0],
+    [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84],
+])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 @dataclass(frozen=True)
@@ -50,40 +98,27 @@ def shifted_hamiltonian(params):
     return h + np.diag(lam.astype(complex))
 
 
-def apply_liouvillian(g, h_shifted):
-    """Unitary part: [H_e + sum_k lambda_k |k><k|, g]."""
-    return commutator(h_shifted, g)
+def to_real(zeta):
+    """Real storage Q = Re zeta + Im zeta of Hermitian matrices (..., n, n)."""
+    zeta = np.asarray(zeta)
+    return zeta.real + zeta.imag
 
 
-def _projector(k, n):
-    v = np.zeros((n, n), dtype=complex)
-    v[k - 1, k - 1] = 1.0
-    return v
+def from_real(q):
+    """The Hermitian matrices stored as Q: symmetric part real, antisymmetric imaginary."""
+    qt = np.swapaxes(q, -1, -2)
+    return 0.5 * (q + qt) + 0.5j * (q - qt)
 
 
-def apply_phi(k, g):
-    """Upward coupling Phi_k g = i [|k><k|, g] (k is 1-based)."""
-    g = np.asarray(g, dtype=complex)
-    return 1j * commutator(_projector(k, g.shape[0]), g)
+@dataclass(frozen=True)
+class IntegratorStats:
+    """Cost and step sizes of one integration."""
 
-
-def apply_theta(k, g, prefactors):
-    """Downward coupling Theta_k g = i (2 lam_k / beta) [V_k, g] + lam_k gamma_k {V_k, g}."""
-    g = np.asarray(g, dtype=complex)
-    v = _projector(k, g.shape[0])
-    return (1j * prefactors.theta_comm[k - 1] * commutator(v, g)
-            + prefactors.theta_anti[k - 1] * anticommutator(v, g))
-
-
-def apply_trapping(g, trap_sites, r_trap):
-    """Reaction-center trapping: -r_trap sum_s {|s><s|, g} over trap sites."""
-    if r_trap < 0:
-        raise ValueError("trap rate must be nonnegative")
-    g = np.asarray(g, dtype=complex)
-    out = np.zeros_like(g)
-    for s in trap_sites:
-        out -= r_trap * anticommutator(_projector(s, g.shape[0]), g)
-    return out
+    nfev: int           # right-hand side evaluations
+    accepted: int       # accepted steps
+    rejected: int       # rejected step attempts
+    min_step_fs: float  # smallest accepted step
+    max_step_fs: float  # largest accepted step
 
 
 @dataclass(frozen=True)
@@ -93,6 +128,7 @@ class Trajectory:
     times_fs: np.ndarray  # (T,)
     rhos: np.ndarray      # (T, n, n) complex
     hierarchy_count: int
+    stats: Optional[IntegratorStats] = None
 
     def populations(self):
         """Real site populations, shape (T, n)."""
@@ -140,116 +176,151 @@ class HEOMPropagator:
         h_eff = self.h_shifted.copy()
         for s in params.trap_sites:
             h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
-        self._h_right = 1j * h_eff.conj().T   # z2 @ this: i z H_eff^dagger
-        self._h_left_t = (-1j * h_eff).T      # zt2 @ this: (-i H_eff z)^T
+        self._x = 1j * h_eff.conj().T
 
-        # Phi_k = i [V_k, .] from the up neighbors and n_k Theta_k from the
-        # down neighbors, split into the part acting on row k (left factor)
-        # and the part acting on column k (right factor); damping
-        # -sum_k n_k gamma_k sits on the diagonal of the row coupling.
+        # R': Phi_k = i [V_k, .] from the up neighbors and n_k Theta_k from
+        # the down neighbors, each through its part acting on row k, and
+        # half the damping -sum_k n_k gamma_k; P + P^dagger restores the
+        # column parts and the other half.
         plus, minus = self.space.neighbors_plus, self.space.neighbors_minus
         nk = self.space.indices.astype(float)
         a, b = self.pref.theta_comm, self.pref.theta_anti
         damp = (nk @ self.pref.gamma)[:, None]
         diag = np.arange(self.count)[:, None]
-        self._row_coupling = _neighbor_coupling(
-            (minus, diag, plus), (nk * (1j * a + b), -damp, 1j), self.count, n)
-        self._col_coupling = _neighbor_coupling(
-            (minus, plus), (nk * (-1j * a + b), -1j), self.count, n)
+        self._coupling = _neighbor_coupling(
+            (minus, diag, plus), (nk * (1j * a + b), -0.5 * damp, 1j), self.count, n)
 
     @property
     def count(self):
         return self.space.count
 
+    @property
+    def state_shape(self):
+        n = self.params.n_sites
+        return (self.count, n, n)
+
     def initial_hierarchy(self, rho0):
-        """Factorized initial condition: physical state at the top, auxiliaries zero."""
-        rho0 = np.asarray(rho0, dtype=complex)
+        """Factorized initial condition Q: physical state at the top, auxiliaries zero."""
+        rho0 = check_hermitian_matrix(rho0, name="initial state")
         n = self.params.n_sites
         if rho0.shape != (n, n):
             raise ValueError(f"initial state must be {n}x{n}")
-        z = np.zeros((self.count, n, n), dtype=complex)
-        z[0] = rho0
-        return z
+        q = np.zeros(self.state_shape)
+        q[0] = to_real(rho0)
+        return q
 
-    def rhs(self, t, zetas):
-        """Time derivative of the full hierarchy state, shape (count, n, n)."""
-        zetas = np.asarray(zetas)
-        n = self.params.n_sites
-        shape = (self.count, n, n)
-        if zetas.shape != shape:
-            raise ValueError(f"hierarchy state must have shape {shape}, "
-                             f"got {zetas.shape}")
-        zt2 = np.ascontiguousarray(zetas.transpose(0, 2, 1)).reshape(-1, n)
-        g2 = zt2 @ self._h_left_t
-        g2 += self._col_coupling @ zt2
-        del zt2  # state-sized; freed before the row-layout temporaries
-        z2 = zetas.reshape(-1, n)
-        dz2 = z2 @ self._h_right
-        dz2 += self._row_coupling @ z2
-        dz = dz2.reshape(shape)
-        dz += g2.reshape(shape).transpose(0, 2, 1)
-        return dz
+    def work_arrays(self):
+        """Scratch for `rhs`: Y and P' in the (count * n, n) complex layout."""
+        return np.empty((2, self.count * self.params.n_sites, self.params.n_sites),
+                        dtype=complex)
 
-    def _rhs_flat(self, t, y):
-        n = self.params.n_sites
-        return self.rhs(t, y.reshape(self.count, n, n)).reshape(-1)
+    def rhs(self, t, q, out=None, work=None):
+        """Time derivative of the real hierarchy state Q, shape (count, n, n).
+
+        The derivative is written to `out` and returned. `work` is scratch
+        from `work_arrays()`; both are allocated when not given.
+        """
+        shape = self.state_shape
+        q = np.asarray(q)
+        if q.shape != shape or q.dtype != np.float64:
+            raise ValueError(f"hierarchy state must be a float64 array of shape "
+                             f"{shape}, got {q.dtype} {q.shape}")
+        y2, p2 = self.work_arrays() if work is None else work
+        y = y2.reshape(shape)
+        y.real = q
+        np.negative(q.transpose(0, 2, 1), out=y.imag)
+        np.matmul(y2, self._x, out=p2)
+        p2 += self._coupling @ y2
+        p = p2.reshape(shape)
+        if out is None:
+            out = np.empty(shape)
+        return np.subtract(p.real, p.imag.transpose(0, 2, 1), out=out)
 
     def run(self, rho0, t_end_fs=None, dt_out_fs=None):
         """Integrate from a factorized initial condition; return a Trajectory.
 
         Only the physical operator zeta(0) is stored at output times. It is
-        read from the integrator's dense output of each step, evaluated for
-        the n * n physical entries only, so memory stays flat in the grid
-        size.
+        read from the dense output of each step, evaluated for the n * n
+        physical entries only, so memory stays flat in the grid size.
         """
         t_end = float(t_end_fs if t_end_fs is not None else self.params.t_end_fs)
         dt_out = float(dt_out_fs if dt_out_fs is not None else self.params.dt_out_fs)
         n = self.params.n_sites
         n_out = output_steps(t_end, dt_out)
         times = np.arange(n_out + 1) * dt_out
+        y = self.initial_hierarchy(rho0)
+        samples = np.empty((n_out + 1, n, n))
+        samples[0] = y[0]
 
-        y0 = self.initial_hierarchy(rho0).reshape(-1)
-        rhos = np.empty((n_out + 1, n, n), dtype=complex)
-        rhos[0] = np.asarray(rho0, dtype=complex)
-
-        solver = RK45(
-            self._rhs_flat, 0.0, y0, t_bound=t_end,
-            rtol=self.config.rel_tol, atol=self.config.abs_tol,
-            first_step=self.config.initial_step_fs,
-            max_step=self.config.max_step_fs,
-        )
+        cfg = self.config
+        k = np.empty((7,) + y.shape)
+        y_new = np.empty_like(y)
+        work = self.work_arrays()
+        # Between right-hand side calls the work arrays are free; they hold
+        # the error estimate and its scale, two real states.
+        err, scale = work.reshape(-1).view(float).reshape((4,) + y.shape)[:2]
+        flat = k.reshape(7, -1)
+        t, h_abs = 0.0, cfg.initial_step_fs
+        self.rhs(t, y, out=k[0], work=work)
+        nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
         next_i = 1
-        try:
-            while solver.status == "running":
-                solver.step()
-                if solver.status == "failed":
+        while t < t_end:
+            min_step = 10 * abs(np.nextafter(t, math.inf) - t)
+            h_abs = min(max(h_abs, min_step), cfg.max_step_fs)
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
                     raise IntegrationError(
-                        f"Dormand-Prince step failed at t = {solver.t:.6g} fs "
-                        "(step-size underflow or tolerance not met)"
-                    )
-                q = None
-                while next_i <= n_out and times[next_i] <= solver.t + 1e-12:
-                    if q is None:
-                        # scipy's RkDenseOutput restricted to the physical block.
-                        h = solver.t - solver.t_old
-                        q = solver.K[:, : n * n].T @ solver.P
-                        y_old = solver.y_old[: n * n]
-                    x = (min(times[next_i], solver.t) - solver.t_old) / h
-                    p = np.cumprod(np.full(q.shape[1], x))
-                    y = h * (q @ p) + y_old
-                    rhos[next_i] = y.reshape(n, n)
-                    next_i += 1
-        finally:
-            # The solver refers to itself through these closures; breaking
-            # the cycle frees its stage arrays now instead of at the next
-            # cyclic garbage collection.
-            solver.fun = solver.fun_vectorized = None
+                        f"Dormand-Prince step failed at t = {t:.6g} fs "
+                        "(step-size underflow or tolerance not met)")
+                t_new = min(t + h_abs, t_end)
+                h = h_abs = t_new - t
+                for s in range(1, 7):
+                    np.dot(_A[s, :s], flat[:s], out=y_new.reshape(-1))
+                    y_new *= h
+                    y_new += y
+                    self.rhs(t + _C[s] * h, y_new, out=k[s], work=work)
+                nfev += 6
+                # RMS norm over |zeta_ij| = hypot(Q_ij, Q_ji) / sqrt(2).
+                np.hypot(y, y.transpose(0, 2, 1), out=scale)
+                np.hypot(y_new, y_new.transpose(0, 2, 1), out=err)
+                np.maximum(scale, err, out=scale)
+                scale *= cfg.rel_tol / math.sqrt(2.0)
+                scale += cfg.abs_tol
+                np.dot(_E, flat, out=err.reshape(-1))
+                err *= h
+                err /= scale
+                error_norm = math.sqrt(np.dot(err.reshape(-1), err.reshape(-1)) / err.size)
+                if error_norm < 1:
+                    factor = (_MAX_FACTOR if error_norm == 0 else
+                              min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2))
+                    h_abs *= min(1, factor) if step_rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+                step_rejected = True
+                rejected += 1
+            accepted += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
+
+            poly = None
+            while next_i <= n_out and times[next_i] <= t_new + 1e-12:
+                if poly is None:
+                    # RK45's dense output restricted to the physical block.
+                    poly = flat[:, :n * n].T @ _P
+                x = (min(times[next_i], t_new) - t) / h
+                p = np.cumprod(np.full(poly.shape[1], x))
+                samples[next_i] = (h * (poly @ p)).reshape(n, n) + y[0]
+                next_i += 1
+            t, y, y_new = t_new, y_new, y
+            k[0] = k[6]
         if next_i <= n_out:
             raise IntegrationError(
-                f"integration stopped at t = {solver.t:.6g} fs before reaching "
-                f"{t_end:.6g} fs"
-            )
-        return Trajectory(times_fs=times, rhos=rhos, hierarchy_count=self.count)
+                f"integration stopped at t = {t:.6g} fs before reaching "
+                f"{times[-1]:.6g} fs")
+        stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
+                                min_step_fs=h_min, max_step_fs=h_max)
+        return Trajectory(times_fs=times, rhos=from_real(samples),
+                          hierarchy_count=self.count, stats=stats)
 
 
 def convergence_study(rho0, params, n_values, config=None):

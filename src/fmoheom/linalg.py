@@ -81,20 +81,3 @@ def trace_distance(a, b, rtol=1e-6):
     d = 0.5 * (d + d.conj().T)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(d))))
 
-
-def commutator(a, b):
-    """[A, B] = AB - BA."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def anticommutator(a, b):
-    """{A, B} = AB + BA."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a

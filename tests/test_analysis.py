@@ -134,6 +134,12 @@ class TestSuddenDeathDetection:
         with pytest.raises(ValueError):
             detect_sudden_death(_series(np.array([]), np.array([])))
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_bad_threshold_rejected(self, threshold):
+        t = np.arange(0.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            detect_sudden_death(_series(t, np.zeros_like(t)), threshold=threshold)
+
 
 class TestShortTimeValidation:
     @pytest.fixture(scope="class")

@@ -219,6 +219,17 @@ class TestConverge:
         assert main(["converge", "--out", str(tmp_path),
                      "--n-min", "4", "--n-max", "4"]) == 1
 
+    @pytest.mark.parametrize("n_min, n_max, flag", [
+        ("5", "3", "--n-min must be smaller than --n-max"),
+        ("-2", "3", "--n-min must be nonnegative"),
+    ])
+    def test_bad_range_fails_before_output(self, tmp_path, capsys, n_min, n_max, flag):
+        out = tmp_path / "conv"
+        assert main(["converge", "--out", str(out),
+                     "--n-min", n_min, "--n-max", n_max]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSuddenDeathCommand:
     def test_report_schema(self, tmp_path):
@@ -230,6 +241,15 @@ class TestSuddenDeathCommand:
         assert rows[0] == ("pair_m,pair_n,death_time_fs,peak_B,"
                            "peak_time_fs,threshold")
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_threshold_fails_before_running(self, tmp_path, capsys, threshold):
+        out = tmp_path / "sd"
+        rc = main(["sudden-death", "--out", str(out), *FAST,
+                   "--threshold", threshold])
+        assert rc == 1
+        assert "--threshold must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCommand:

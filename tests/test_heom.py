@@ -1,21 +1,45 @@
-import gc
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import solve_ivp
 
 from fmoheom.heom import (
     HEOMPropagator,
     IntegratorConfig,
+    from_real,
+    shifted_hamiltonian,
+    to_real,
+)
+from fmoheom.linalg import NonHermitianError
+from fmoheom.model import SystemParams, localized_state, thermal_prefactors
+
+from conftest import random_hermitian
+from heom_reference import (
     apply_liouvillian,
     apply_phi,
     apply_theta,
     apply_trapping,
-    shifted_hamiltonian,
+    reference_rhs,
 )
-from fmoheom.model import SystemParams, localized_state, thermal_prefactors
 
-from conftest import random_hermitian
+
+def random_hierarchy(rng, count):
+    """Random Hermitian hierarchy state, complex, shape (count, 7, 7)."""
+    return np.stack([random_hermitian(rng, 7) for _ in range(count)])
+
+
+def counting(prop):
+    """Wrap prop.rhs; return the list whose first entry counts its calls."""
+    calls = [0]
+    rhs = prop.rhs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return rhs(*args, **kwargs)
+
+    prop.rhs = counted
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -111,17 +135,16 @@ class TestRHS:
         p = SystemParams(truncation_N=0, trap_rate_inv_ps=0)
         prop = HEOMPropagator(p)
         rho = localized_state(1)
-        dz = prop.rhs(0.0, prop.initial_hierarchy(rho))
+        dq = prop.rhs(0.0, prop.initial_hierarchy(rho))
         expected = -1j * (prop.h_shifted @ rho - rho @ prop.h_shifted)
-        np.testing.assert_allclose(dz[0], expected, atol=1e-15)
+        np.testing.assert_allclose(from_real(dq[0]), expected, atol=1e-15)
 
     def test_top_trace_conserved_without_trapping(self):
         p = SystemParams(truncation_N=2, trap_rate_inv_ps=0)
         prop = HEOMPropagator(p)
         rng = np.random.default_rng(4)
-        z = np.stack([random_hermitian(rng, 7) for _ in range(prop.count)])
-        dz = prop.rhs(0.0, z)
-        assert abs(np.trace(dz[0])) < 1e-12
+        dq = prop.rhs(0.0, to_real(random_hierarchy(rng, prop.count)))
+        assert abs(np.trace(dq[0])) < 1e-12
 
     def test_top_trace_with_trapping(self, params):
         prop = HEOMPropagator(params)
@@ -136,49 +159,62 @@ class TestRHS:
         prop = HEOMPropagator(params)
         rng = np.random.default_rng(6)
         shape = (prop.count, 7, 7)
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = rng.normal(size=shape)
+        b = rng.normal(size=shape)
         al, be = 0.3, -1.7
         lhs = prop.rhs(0.0, al * a + be * b)
         rhs = al * prop.rhs(0.0, a) + be * prop.rhs(0.0, b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_preserves_hermiticity(self, params):
+        # The generator maps a Hermitian hierarchy to a Hermitian one, so
+        # the real storage Q represents the derivative without loss; and
+        # from a positive physical state the trace does not rise.
         prop = HEOMPropagator(params)
         rng = np.random.default_rng(7)
-        z = np.stack([random_hermitian(rng, 7) for _ in range(prop.count)])
-        dz = prop.rhs(0.0, z)
+        z = random_hierarchy(rng, prop.count)
+        z[0] = z[0] @ z[0]
+        z[0] /= np.trace(z[0])
+        dz = reference_rhs(prop, z)
         defect = np.max(np.abs(dz - np.conj(np.swapaxes(dz, 1, 2))))
         assert defect < 1e-12
+        dq = prop.rhs(0.0, to_real(z))
+        np.testing.assert_allclose(from_real(dq), dz, rtol=0, atol=1e-12)
+        assert np.trace(dq[0]) <= 0.0
 
     @pytest.mark.parametrize("n_trunc", [2, 3])
     def test_matches_superoperators(self, n_trunc):
         # The kernel against the per-node definition of every HEOM term.
-        p = SystemParams(truncation_N=n_trunc)
-        prop = HEOMPropagator(p)
-        space, pref = prop.space, prop.pref
+        prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
         rng = np.random.default_rng(8)
-        shape = (prop.count, 7, 7)
-        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        expected = np.empty_like(z)
-        for c in range(prop.count):
-            nk = space.indices[c]
-            d = -1j * apply_liouvillian(z[c], prop.h_shifted)
-            d -= (nk @ pref.gamma) * z[c]
-            d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)
-            for k in range(7):
-                up, down = space.neighbors_plus[c, k], space.neighbors_minus[c, k]
-                if up >= 0:
-                    d += apply_phi(k + 1, z[up])
-                if down >= 0:
-                    d += nk[k] * apply_theta(k + 1, z[down], pref)
-            expected[c] = d
-        np.testing.assert_allclose(prop.rhs(0.0, z), expected, rtol=0, atol=1e-13)
+        z = random_hierarchy(rng, prop.count)
+        np.testing.assert_allclose(from_real(prop.rhs(0.0, to_real(z))),
+                                   reference_rhs(prop, z), rtol=0, atol=1e-13)
 
     def test_shape_mismatch(self, params):
         prop = HEOMPropagator(params)
         with pytest.raises(ValueError):
             prop.rhs(0.0, np.zeros((3, 7, 7), dtype=complex))
+
+    @pytest.mark.parametrize("state", [
+        lambda count: np.zeros((count, 7, 7), dtype=complex),
+        lambda count: np.zeros((count, 7 * 7)),
+    ], ids=["complex", "flat"])
+    def test_rejects_bad_state(self, params, state):
+        # Q storage is real: a complex state is an error, not a warning
+        # with the imaginary part dropped.
+        prop = HEOMPropagator(params)
+        with pytest.raises(ValueError, match="float64 array of shape"):
+            prop.rhs(0.0, state(prop.count))
+
+    def test_out_and_work_buffers(self, params):
+        prop = HEOMPropagator(params)
+        rng = np.random.default_rng(10)
+        q = to_real(random_hierarchy(rng, prop.count))
+        out = np.empty_like(q)
+        res = prop.rhs(0.0, q, out=out, work=prop.work_arrays())
+        assert res is out
+        np.testing.assert_array_equal(out, prop.rhs(0.0, q))
 
 
 class TestIntegration:
@@ -223,36 +259,82 @@ class TestIntegration:
         diff = abs(coarse.rhos[-1][0, 0] - fine.rhos[-1][0, 0])
         assert diff < 1e-8
 
-    def test_dense_output_matches_solve_ivp(self):
-        # The physical-block interpolant against scipy's own dense output.
-        p = SystemParams(truncation_N=1, t_end_fs=60.0, dt_out_fs=0.25)
-        prop = HEOMPropagator(p)
-        traj = prop.run(localized_state(1))
-        cfg = prop.config
-        sol = solve_ivp(prop._rhs_flat, (0.0, p.t_end_fs),
-                        prop.initial_hierarchy(localized_state(1)).reshape(-1),
+    @staticmethod
+    def _solve_ivp_reference(prop, traj):
+        """scipy's RK45 on the node-by-node complex generator, same settings."""
+        cfg, shape = prop.config, (prop.count, 7, 7)
+        z0 = np.zeros(shape, dtype=complex)
+        z0[0] = localized_state(1)
+        sol = solve_ivp(lambda t, y: reference_rhs(prop, y.reshape(shape)).reshape(-1),
+                        (0.0, traj.times_fs[-1]), z0.reshape(-1),
                         method="RK45", t_eval=traj.times_fs,
                         rtol=cfg.rel_tol, atol=cfg.abs_tol,
                         first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
         assert sol.status == 0
+        return sol, sol.y[:49].T.reshape(-1, 7, 7)
+
+    def test_dense_output_matches_solve_ivp(self):
+        # The loop on real storage against scipy's RK45 on the complex
+        # state: the same step sequence, and the physical-block interpolant
+        # against scipy's own dense output.
+        p = SystemParams(truncation_N=1, t_end_fs=60.0, dt_out_fs=0.25)
+        prop = HEOMPropagator(p)
+        traj = prop.run(localized_state(1))
+        sol, ref = self._solve_ivp_reference(prop, traj)
+        assert traj.stats.nfev == sol.nfev
         # Several samples per step (six RHS calls), so the interpolant is
         # really exercised.
         assert traj.times_fs.size >= 3 * (sol.nfev // 6)
-        ref = sol.y[:49].T.reshape(-1, 7, 7)
         np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
 
+    def test_forced_rejection_matches_solve_ivp(self):
+        # A 10 fs first step fails the error test and is cut back.
+        p = SystemParams(truncation_N=1, t_end_fs=60.0, dt_out_fs=0.5)
+        prop = HEOMPropagator(p, IntegratorConfig(initial_step_fs=10.0))
+        calls = counting(prop)
+        traj = prop.run(localized_state(1))
+        stats = traj.stats
+        assert stats.rejected >= 1
+        assert stats.nfev == calls[0] == 1 + 6 * (stats.accepted + stats.rejected)
+        assert 0 < stats.min_step_fs <= stats.max_step_fs < 10.0
+        sol, ref = self._solve_ivp_reference(prop, traj)
+        assert stats.nfev == sol.nfev
+        np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
+
+    def test_stats_count_every_evaluation(self):
+        prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))
+        calls = counting(prop)
+        stats = prop.run(localized_state(1)).stats
+        assert stats.rejected == 0
+        assert stats.nfev == calls[0] == 1 + 6 * stats.accepted
+        assert stats.min_step_fs == prop.config.initial_step_fs
+        assert stats.max_step_fs <= prop.config.max_step_fs
+
     def test_run_frees_the_integrator(self):
-        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=5.0))
-        gc.collect()
-        flags = gc.get_debug()
-        gc.set_debug(gc.DEBUG_SAVEALL)
+        # Stages, work arrays and error scratch are owned by one call:
+        # no block as large as one hierarchy state outlives it.
+        prop = HEOMPropagator(SystemParams(truncation_N=4, t_end_fs=5.0))
+        state_bytes = np.zeros(prop.state_shape).nbytes
+        tracemalloc.start()
         try:
-            prop.run(localized_state(1))
-            gc.collect()
-            assert not any(isinstance(o, RK45) for o in gc.garbage)
+            traj = prop.run(localized_state(1))
+            snapshot = tracemalloc.take_snapshot()
         finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
+            tracemalloc.stop()
+        assert traj.rhos.nbytes < state_bytes
+        sizes = [tr.size for tr in snapshot.traces]
+        assert max(sizes) < state_bytes
+
+    def test_non_hermitian_initial_state_rejected(self, params):
+        prop = HEOMPropagator(params)
+        calls = counting(prop)
+        rho = localized_state(1).astype(complex)
+        rho[0, 1] = 0.1j
+        with pytest.raises(NonHermitianError, match="initial state"):
+            prop.initial_hierarchy(rho)
+        with pytest.raises(NonHermitianError, match="initial state"):
+            prop.run(rho)
+        assert calls[0] == 0
 
     def test_overshooting_grid_override(self, params):
         prop = HEOMPropagator(params)

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from fmoheom.linalg import (
     NonHermitianError,
     PAULI,
-    anticommutator,
     check_hermitian,
-    commutator,
     hermitian_eigen,
     trace_distance,
 )
@@ -16,6 +14,7 @@ from fmoheom.measures import horodecki_M, wootters_concurrence
 from fmoheom.model import FMO_HAMILTONIAN_CM
 
 from conftest import random_hermitian, random_pair_state
+from heom_reference import anticommutator, commutator
 
 
 def _fails_check(a):
@@ -135,6 +134,8 @@ class TestTraceDistance:
 
 
 class TestCommutators:
+    """The commutator helpers of the node-by-node reference generator."""
+
     def test_self_commutator_zero(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 4)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fmoheom.linalg import commutator
 from fmoheom.model import (
     CM_TO_RADFS,
     FMO_HAMILTONIAN_CM,
@@ -14,6 +13,8 @@ from fmoheom.model import (
     output_steps,
     thermal_prefactors,
 )
+
+from heom_reference import commutator
 
 
 @pytest.fixture(scope="module")
