@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .measures import all_pairs, horodecki_M, reduce_pair
-from .model import CM_TO_RADFS, fret_state
+from .model import CM_TO_RADFS, N_SITES, check_site, fret_state
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,16 @@ class ShortTimePrediction:
 
 def short_time_oracle(x, params):
     """Leading-order C and B growth for every pair, from the coupling row of x."""
-    if not 1 <= x <= params.n_sites:
-        raise ValueError(f"site {x} outside 1..{params.n_sites}")
+    check_site(x, "x")
     j = params.hamiltonian_cm * CM_TO_RADFS  # only off-diagonal entries are read
     preds = {}
-    for m, n in all_pairs(params.n_sites):
+    for m, n in all_pairs():
         if x in (m, n):
             other = n if m == x else m
             jx = j[x - 1, other - 1]
             rest = sum(
                 j[x - 1, l - 1] ** 2
-                for l in range(1, params.n_sites + 1)
+                for l in range(1, N_SITES + 1)
                 if l not in (x, other)
             )
             slope_b = 2.0 * np.sqrt(max(jx ** 2 - rest, 0.0))
@@ -96,11 +95,8 @@ class FretInterferenceReport:
 
 def fret_interference_report(x, basis):
     """Decompose the t=0 FRET state for site x into exciton contributions."""
-    coeffs = basis.coeffs
-    n_sites = coeffs.shape[0]
-    if not 1 <= x <= n_sites:
-        raise ValueError(f"site {x} outside 1..{n_sites}")
     rho = fret_state(x, basis)
+    coeffs = basis.coeffs
     pops = np.real(np.diag(rho))
     # Correlation concentrates on the two most populated sites.
     top = np.argsort(pops)[::-1][:2] + 1

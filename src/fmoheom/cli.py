@@ -35,7 +35,7 @@ def write_csv(path, header, rows):
 
 def _initial_state(cfg):
     if cfg.initial_kind == "localized":
-        return model.localized_state(cfg.initial_site, cfg.params.n_sites)
+        return model.localized_state(cfg.initial_site)
     basis = model.exciton_basis(cfg.params)
     return model.fret_state(cfg.initial_site, basis)
 
@@ -49,15 +49,14 @@ def _write_manifest(outdir, cfg, extra):
 
 
 def _run_trajectory(cfg):
-    prop = heom.HEOMPropagator(cfg.params, cfg.integrator)
-    return prop, prop.run(_initial_state(cfg))
+    return heom.HEOMPropagator(cfg.params, cfg.integrator).run(_initial_state(cfg))
 
 
 def cmd_simulate(cfg, outdir, args):
-    prop, traj = _run_trajectory(cfg)
+    traj = _run_trajectory(cfg)
     pops = traj.populations()
     traces = traj.traces()
-    n = cfg.params.n_sites
+    n = model.N_SITES
     header = ["t_fs"] + [f"rho_{k}{k}" for k in range(1, n + 1)] + ["trace"]
     rows = (
         [traj.times_fs[i]] + list(pops[i]) + [traces[i]]
@@ -72,7 +71,7 @@ def cmd_simulate(cfg, outdir, args):
             ["t_fs", "B", "C", "l1", "mu1", "mu3"],
             zip(s.times_fs, s.B, s.C, s.l1, s.mu1, s.mu3),
         )
-    _write_manifest(outdir, cfg, {"hierarchy_count": prop.count})
+    _write_manifest(outdir, cfg, {"hierarchy_count": traj.hierarchy_count})
     return 0
 
 
@@ -88,7 +87,7 @@ def cmd_converge(cfg, outdir, args):
 
 
 def cmd_sudden_death(cfg, outdir, args):
-    prop, traj = _run_trajectory(cfg)
+    traj = _run_trajectory(cfg)
     rows = []
     for m, nn in cfg.pair_list():
         s = measures.pair_series(traj, m, nn)
@@ -99,7 +98,7 @@ def cmd_sudden_death(cfg, outdir, args):
         ["pair_m", "pair_n", "death_time_fs", "peak_B", "peak_time_fs", "threshold"],
         rows,
     )
-    _write_manifest(outdir, cfg, {"hierarchy_count": prop.count,
+    _write_manifest(outdir, cfg, {"hierarchy_count": traj.hierarchy_count,
                                   "threshold": args.threshold})
     return 0
 
@@ -135,7 +134,7 @@ def cmd_fret_report(cfg, outdir, args):
     rows = [
         (r + 1, basis.energies_cm[r], rep.weights[r], rep.pure_BC[r],
          rep.contributions[r])
-        for r in range(cfg.params.n_sites)
+        for r in range(model.N_SITES)
     ]
     write_csv(
         outdir / "fret_report.csv",
@@ -202,6 +201,11 @@ def _check_args(args):
         if args.n_min >= args.n_max:
             raise ConfigError(f"--n-min must be smaller than --n-max, got "
                               f"{args.n_min} and {args.n_max}")
+        try:  # the study compares level n_max with level n_max + 1
+            model.SystemParams(truncation_N=args.n_max + 1)
+        except ValueError as exc:
+            raise ConfigError(f"--n-max {args.n_max} (compared with N = "
+                              f"{args.n_max + 1}): {exc}") from None
     if args.command == "sudden-death":
         analysis.check_threshold(args.threshold, name="--threshold")
 

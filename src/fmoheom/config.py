@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .heom import IntegratorConfig
 from .measures import all_pairs
-from .model import SystemParams
+from .model import SystemParams, check_site
 
 SCHEMA_VERSION = 1
 
@@ -75,7 +75,10 @@ def _parse_pairs(value):
             raise ValueError(f"bad pair {chunk!r}, expected like 1-2") from None
         if m == n:
             raise ValueError(f"sites must differ in {chunk!r}")
-        pairs.append((min(m, n), max(m, n)))
+        pair = (min(m, n), max(m, n))
+        if pair in pairs:
+            raise ValueError(f"pair {chunk!r} repeats {pair[0]}-{pair[1]}")
+        pairs.append(pair)
     return pairs
 
 
@@ -136,7 +139,7 @@ class RunConfig:
 
     def pair_list(self):
         if self.pairs == "all":
-            return all_pairs(self.params.n_sites)
+            return all_pairs()
         return list(self.pairs)
 
     def as_flat_dict(self):
@@ -169,17 +172,14 @@ def build_run_config(flat):
     try:
         params = SystemParams(**kwargs["params"])
         integrator = IntegratorConfig(**kwargs["integrator"])
+        cfg = RunConfig(params=params, integrator=integrator, **kwargs["run"])
+        check_site(cfg.initial_site, "initial.site")
+        for m, n in cfg.pair_list():
+            check_site(m, "pairs")
+            check_site(n, "pairs")
     except ValueError as exc:
         message = re.sub(r"\w+", lambda w: _ATTR_KEYS.get(w[0], w[0]), str(exc))
         raise ConfigError(message) from exc
-    cfg = RunConfig(params=params, integrator=integrator, **kwargs["run"])
-
-    n_sites = params.n_sites
-    if not 1 <= cfg.initial_site <= n_sites:
-        raise ConfigError(f"initial.site: {cfg.initial_site} outside 1..{n_sites}")
-    for m, n in cfg.pair_list():
-        if not 1 <= m < n <= n_sites:
-            raise ConfigError(f"pairs: pair ({m},{n}) outside 1..{n_sites}")
     return cfg
 
 

@@ -2,10 +2,10 @@
 
 Every coupling of this HEOM preserves Hermiticity, so a Hermitian physical
 state keeps every auxiliary operator zeta(n) Hermitian. Each node is
-stored as the real n x n matrix Q = Re zeta + Im zeta: its symmetric part
-is Re zeta and its antisymmetric part Im zeta, so Q determines zeta
-(`to_real`, `from_real`). The hierarchy state is a (count, n, n) float
-array; slot 0 is the physical density operator.
+stored as the real n x n matrix Q = Re zeta + Im zeta, n = N_SITES = 7:
+its symmetric part is Re zeta and its antisymmetric part Im zeta, so Q
+determines zeta (`to_real`, `from_real`). The hierarchy state is a
+(count, n, n) float array; slot 0 is the physical density operator.
 
 The derivative of each node is P + P^dagger with
 
@@ -24,9 +24,10 @@ Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of scipy's RK45, in a loop that owns every state-sized buffer.
 Its RMS error norm is taken over the moduli |zeta_ij| =
 sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the complex
-state, so the step sequence is that of RK45 on zeta. The dense output of
-each step is evaluated for the physical block only and sampled onto a
-uniform grid.
+state, so the step sequence is that of RK45 on zeta. The loop ends at
+exactly t_end, the last time of `SystemParams.output_times()`; the dense
+output of each step, evaluated for the physical block only, is sampled
+onto that grid.
 """
 
 import math
@@ -38,7 +39,7 @@ from scipy.sparse import csr_matrix
 
 from .hierarchy import enumerate_hierarchy
 from .linalg import check_hermitian_matrix
-from .model import build_hamiltonian, output_steps, thermal_prefactors
+from .model import N_SITES, build_hamiltonian, thermal_prefactors
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5).
 # Row s of _A gives stage s from stages 0..s-1; the last row is the
@@ -138,14 +139,15 @@ class Trajectory:
         return np.real(np.trace(self.rhos, axis1=1, axis2=2))
 
 
-def _neighbor_coupling(neighbors, values, count, n):
-    """One CSR entry per (row c * n + k, table) from neighbor tables.
+def _neighbor_coupling(neighbors, values, count):
+    """One CSR entry per (row c * n + k, table) from neighbor tables, n = N_SITES.
 
     Row c * n + k of the result picks row k of node neighbors[t][c, k]
     with weight values[t][c, k]; tables and values broadcast to
     (count, n). A missing neighbor (negative rank) keeps its slot as an
     explicit zero on the diagonal, so every row has the same width.
     """
+    n = N_SITES
     m = count * n
     rows = np.arange(m, dtype=np.int32).reshape(count, n)
     k = np.arange(n, dtype=np.int32)
@@ -166,11 +168,10 @@ class HEOMPropagator:
     def __init__(self, params, config=None):
         self.params = params
         self.config = config or IntegratorConfig()
-        self.space = enumerate_hierarchy(params.n_sites, params.truncation_N)
+        self.space = enumerate_hierarchy(N_SITES, params.truncation_N)
         self.pref = thermal_prefactors(params)
         self.h_shifted = shifted_hamiltonian(params)
 
-        n = params.n_sites
         # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
         # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
         h_eff = self.h_shifted.copy()
@@ -188,7 +189,7 @@ class HEOMPropagator:
         damp = (nk @ self.pref.gamma)[:, None]
         diag = np.arange(self.count)[:, None]
         self._coupling = _neighbor_coupling(
-            (minus, diag, plus), (nk * (1j * a + b), -0.5 * damp, 1j), self.count, n)
+            (minus, diag, plus), (nk * (1j * a + b), -0.5 * damp, 1j), self.count)
 
     @property
     def count(self):
@@ -196,23 +197,20 @@ class HEOMPropagator:
 
     @property
     def state_shape(self):
-        n = self.params.n_sites
-        return (self.count, n, n)
+        return (self.count, N_SITES, N_SITES)
 
     def initial_hierarchy(self, rho0):
         """Factorized initial condition Q: physical state at the top, auxiliaries zero."""
         rho0 = check_hermitian_matrix(rho0, name="initial state")
-        n = self.params.n_sites
-        if rho0.shape != (n, n):
-            raise ValueError(f"initial state must be {n}x{n}")
+        if rho0.shape != (N_SITES, N_SITES):
+            raise ValueError(f"initial state must be {N_SITES}x{N_SITES}")
         q = np.zeros(self.state_shape)
         q[0] = to_real(rho0)
         return q
 
     def work_arrays(self):
         """Scratch for `rhs`: Y and P' in the (count * n, n) complex layout."""
-        return np.empty((2, self.count * self.params.n_sites, self.params.n_sites),
-                        dtype=complex)
+        return np.empty((2, self.count * N_SITES, N_SITES), dtype=complex)
 
     def rhs(self, t, q, out=None, work=None):
         """Time derivative of the real hierarchy state Q, shape (count, n, n).
@@ -236,20 +234,18 @@ class HEOMPropagator:
             out = np.empty(shape)
         return np.subtract(p.real, p.imag.transpose(0, 2, 1), out=out)
 
-    def run(self, rho0, t_end_fs=None, dt_out_fs=None):
+    def run(self, rho0):
         """Integrate from a factorized initial condition; return a Trajectory.
 
-        Only the physical operator zeta(0) is stored at output times. It is
-        read from the dense output of each step, evaluated for the n * n
-        physical entries only, so memory stays flat in the grid size.
+        Only the physical operator zeta(0) is stored, at the times of
+        params.output_times(). It is read from the dense output of each
+        step, evaluated for the n * n physical entries only, so memory
+        stays flat in the grid size.
         """
-        t_end = float(t_end_fs if t_end_fs is not None else self.params.t_end_fs)
-        dt_out = float(dt_out_fs if dt_out_fs is not None else self.params.dt_out_fs)
-        n = self.params.n_sites
-        n_out = output_steps(t_end, dt_out)
-        times = np.arange(n_out + 1) * dt_out
+        times = self.params.output_times()
+        t_end, n_out = float(times[-1]), times.size - 1
         y = self.initial_hierarchy(rho0)
-        samples = np.empty((n_out + 1, n, n))
+        samples = np.empty((n_out + 1, N_SITES, N_SITES))
         samples[0] = y[0]
 
         cfg = self.config
@@ -306,17 +302,13 @@ class HEOMPropagator:
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
                 if poly is None:
                     # RK45's dense output restricted to the physical block.
-                    poly = flat[:, :n * n].T @ _P
+                    poly = flat[:, :N_SITES**2].T @ _P
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
-                samples[next_i] = (h * (poly @ p)).reshape(n, n) + y[0]
+                samples[next_i] = (h * (poly @ p)).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
             t, y, y_new = t_new, y_new, y
             k[0] = k[6]
-        if next_i <= n_out:
-            raise IntegrationError(
-                f"integration stopped at t = {t:.6g} fs before reaching "
-                f"{times[-1]:.6g} fs")
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),
@@ -333,10 +325,10 @@ def convergence_study(rho0, params, n_values, config=None):
 
     n_values = sorted(set(int(v) for v in n_values))
     needed = sorted(set(n_values) | {v + 1 for v in n_values})
-    trajs = {}
-    for n_trunc in needed:
-        p = replace(params, truncation_N=n_trunc)
-        trajs[n_trunc] = HEOMPropagator(p, config).run(rho0)
+    # Every level is validated before the first one is integrated.
+    levels = {n_trunc: replace(params, truncation_N=n_trunc) for n_trunc in needed}
+    trajs = {n_trunc: HEOMPropagator(p, config).run(rho0)
+             for n_trunc, p in levels.items()}
     out = []
     for n_trunc in n_values:
         a, b = trajs[n_trunc], trajs[n_trunc + 1]

@@ -67,8 +67,6 @@ class HierarchyIndexSpace:
     neighbors_minus[i, k] likewise for decrementing.
     """
 
-    n_sites: int
-    depth_max: int
     indices: np.ndarray          # (count, n_sites)
     neighbors_plus: np.ndarray   # (count, n_sites)
     neighbors_minus: np.ndarray  # (count, n_sites)
@@ -102,10 +100,5 @@ def enumerate_hierarchy(n_sites, depth_max):
     plus[has_plus] = np.searchsorted(keys, (keys[:, None] + step)[has_plus])
     minus[has_minus] = np.searchsorted(keys, (keys[:, None] - step)[has_minus])
 
-    return HierarchyIndexSpace(
-        n_sites=n_sites,
-        depth_max=depth_max,
-        indices=indices,
-        neighbors_plus=plus,
-        neighbors_minus=minus,
-    )
+    return HierarchyIndexSpace(indices=indices, neighbors_plus=plus,
+                               neighbors_minus=minus)

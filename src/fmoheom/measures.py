@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI, check_hermitian, check_hermitian_matrix
+from .model import N_SITES
 
 # Basis ordering of the 4x4 pair state, qubit m first:
 # index 0 = |0_m 0_n>, 1 = |0_m 1_n>, 2 = |1_m 0_n>, 3 = |1_m 1_n>.
@@ -183,5 +184,5 @@ def pair_series(trajectory, m, n):
                                  **vars(closed_form_measures(reduced)))
 
 
-def all_pairs(n_sites=7):
+def all_pairs(n_sites=N_SITES):
     return [(m, n) for m in range(1, n_sites + 1) for n in range(m + 1, n_sites + 1)]

@@ -2,7 +2,8 @@
 
 Energies enter in cm^-1 and are converted to angular frequency (rad/fs)
 with hbar = 1, so femtoseconds are the native time unit of the dynamics.
-Site indices are 1-based in every public interface.
+The model is fixed at N_SITES = 7 chromophores; site indices are 1-based
+in every public interface and checked by `check_site`.
 """
 
 import math
@@ -10,7 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hierarchy import MAX_NODES, hierarchy_count
 from .linalg import hermitian_eigen
+
+# Chromophores of one FMO monomer.
+N_SITES = 7
 
 # Speed of light in cm/fs; 1 cm^-1 corresponds to 2*pi*c rad/fs.
 C_CM_PER_FS = 2.99792458e-5
@@ -39,6 +44,12 @@ def _default_hamiltonian():
     return FMO_HAMILTONIAN_CM.copy()
 
 
+def check_site(x, name):
+    """Reject a site index outside 1..N_SITES; `name` labels the message."""
+    if not 1 <= x <= N_SITES:
+        raise ValueError(f"{name}: site {x} outside 1..{N_SITES}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and numerical parameters of one simulation.
@@ -48,7 +59,6 @@ class SystemParams:
     i.e. gamma_k = 1 / gamma_inv_fs.
     """
 
-    n_sites: int = 7
     hamiltonian_cm: np.ndarray = field(default_factory=_default_hamiltonian)
     lambda_cm: float = 35.0
     gamma_inv_fs: float = 50.0
@@ -61,34 +71,38 @@ class SystemParams:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian_cm, dtype=float)
-        if h.shape != (self.n_sites, self.n_sites):
-            raise ValueError(f"hamiltonian must be {self.n_sites}x{self.n_sites}")
+        if h.shape != (N_SITES, N_SITES):
+            raise ValueError(f"hamiltonian_cm must be {N_SITES}x{N_SITES}")
         if not np.all(np.isfinite(h)):
             raise ValueError("hamiltonian_cm must be finite")
-        for name in ("lambda_cm", "gamma_inv_fs", "temperature_K",
-                     "trap_rate_inv_ps", "truncation_N", "t_end_fs", "dt_out_fs"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if np.max(np.abs(h - h.T)) > 1e-12 * max(np.max(np.abs(h)), 1.0):
             raise ValueError("hamiltonian_cm must be symmetric")
-        if self.lambda_cm <= 0:
-            raise ValueError("lambda_cm must be positive")
-        if self.gamma_inv_fs <= 0:
-            raise ValueError("gamma_inv_fs must be positive")
-        if self.temperature_K <= 0:
-            raise ValueError("temperature_K must be positive")
-        if self.trap_rate_inv_ps < 0:
-            raise ValueError("trap_rate_inv_ps must be nonnegative")
-        if self.truncation_N < 0:
-            raise ValueError("truncation_N must be nonnegative")
+        for name, rule in (("lambda_cm", "positive"), ("gamma_inv_fs", "positive"),
+                           ("temperature_K", "positive"),
+                           ("trap_rate_inv_ps", "nonnegative"),
+                           ("truncation_N", "nonnegative")):
+            value = getattr(self, name)
+            low = value > 0 if rule == "positive" else value >= 0
+            if not (low and value < math.inf):
+                raise ValueError(f"{name} must be finite and {rule}, got {value}")
+        count = hierarchy_count(N_SITES, self.truncation_N)
+        if count > MAX_NODES:
+            raise ValueError(f"truncation_N = {self.truncation_N} gives {count} "
+                             f"hierarchy nodes, above the {MAX_NODES} node limit")
         output_steps(self.t_end_fs, self.dt_out_fs)
         for s in self.trap_sites:
-            if not 1 <= s <= self.n_sites:
-                raise ValueError(f"trap_sites: site {s} outside 1..{self.n_sites}")
+            check_site(s, "trap_sites")
         if len(set(self.trap_sites)) != len(self.trap_sites):
             raise ValueError(
                 f"trap_sites must not repeat a site, got {self.trap_sites}")
         object.__setattr__(self, "hamiltonian_cm", h)
+
+    def output_times(self):
+        """Output grid i * dt_out_fs whose last sample is t_end_fs itself."""
+        steps = output_steps(self.t_end_fs, self.dt_out_fs)
+        times = np.arange(steps + 1) * self.dt_out_fs
+        times[-1] = self.t_end_fs
+        return times
 
     @property
     def trap_rate_inv_fs(self):
@@ -103,6 +117,8 @@ def output_steps(t_end_fs, dt_out_fs):
 
     A grid that does not end at t_end_fs would ask for samples past the
     end of the integration, so it is rejected before any work is done.
+    A ratio within 1e-9 of an integer is accepted; `output_times` then
+    places the last sample at t_end_fs.
     """
     if not (0 < t_end_fs < math.inf and 0 < dt_out_fs < math.inf):
         raise ValueError("t_end_fs and dt_out_fs must be positive and finite")
@@ -151,14 +167,9 @@ def exciton_basis(params):
     return ExcitonBasis(energies_cm=vals, coeffs=coeffs)
 
 
-def _check_site(x, n_sites=7):
-    if not 1 <= x <= n_sites:
-        raise ValueError(f"site index {x} outside 1..{n_sites}")
-
-
-def localized_state(x, n_sites=7):
+def localized_state(x, n_sites=N_SITES):
     """Density matrix |x><x| for an excitation localized on chromophore x."""
-    _check_site(x, n_sites)
+    check_site(x, "x")
     rho = np.zeros((n_sites, n_sites), dtype=complex)
     rho[x - 1, x - 1] = 1.0
     return rho
@@ -170,11 +181,9 @@ def fret_state(x, basis):
     rho = sum_r c_rx^2 |e_r><e_r|, which is stationary under the electronic
     Hamiltonian but carries site-basis coherences.
     """
-    n = basis.coeffs.shape[0]
-    _check_site(x, n)
-    rho = np.zeros((n, n), dtype=complex)
-    for r in range(n):
-        v = basis.coeffs[r]
+    check_site(x, "x")
+    rho = np.zeros((N_SITES, N_SITES), dtype=complex)
+    for v in basis.coeffs:
         rho += v[x - 1] ** 2 * np.outer(v, v)
     return rho
 
@@ -197,9 +206,8 @@ class ThermalPrefactors:
 
 def thermal_prefactors(params):
     """Convert bath parameters to the coefficient families used by the hierarchy."""
-    n = params.n_sites
-    lam = np.full(n, params.lambda_cm * CM_TO_RADFS)
-    gamma = np.full(n, 1.0 / params.gamma_inv_fs)
+    lam = np.full(N_SITES, params.lambda_cm * CM_TO_RADFS)
+    gamma = np.full(N_SITES, 1.0 / params.gamma_inv_fs)
     kT_radfs = KB_CM_PER_K * params.temperature_K * CM_TO_RADFS
     theta_comm = 2.0 * lam * kT_radfs  # 2*lambda/beta with beta = 1/kT
     theta_anti = lam * gamma

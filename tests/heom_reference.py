@@ -8,6 +8,8 @@ the kernel against them.
 
 import numpy as np
 
+from fmoheom.model import N_SITES
+
 
 def commutator(a, b):
     """[A, B] = AB - BA."""
@@ -72,7 +74,7 @@ def reference_rhs(prop, z):
         d = -1j * apply_liouvillian(z[c], prop.h_shifted)
         d -= (nk @ pref.gamma) * z[c]
         d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)
-        for k in range(p.n_sites):
+        for k in range(N_SITES):
             up, down = space.neighbors_plus[c, k], space.neighbors_minus[c, k]
             if up >= 0:
                 d += apply_phi(k + 1, z[up])

@@ -10,7 +10,7 @@ from fmoheom.analysis import (
 )
 from fmoheom.heom import HEOMPropagator
 from fmoheom.measures import CorrelationTimeSeries, pair_series
-from fmoheom.model import CM_TO_RADFS, SystemParams, localized_state
+from fmoheom.model import CM_TO_RADFS, SystemParams, fret_state, localized_state
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,20 @@ def _series(t, b, c=None):
     c = z if c is None else c
     return CorrelationTimeSeries(m=1, n=2, times_fs=t, B=b, C=c, l1=c,
                                  mu1=z, mu3=z)
+
+
+@pytest.mark.parametrize("x", [0, 8])
+@pytest.mark.parametrize("call", [
+    lambda x, params, basis: localized_state(x),
+    lambda x, params, basis: fret_state(x, basis),
+    lambda x, params, basis: short_time_oracle(x, params),
+    lambda x, params, basis: dominant_pair(x, params),
+    lambda x, params, basis: fret_interference_report(x, basis),
+], ids=["localized_state", "fret_state", "short_time_oracle", "dominant_pair",
+        "fret_interference_report"])
+def test_site_outside_named(call, x, params, basis):
+    with pytest.raises(ValueError, match=rf"site {x} outside 1\.\.7"):
+        call(x, params, basis)
 
 
 class TestShortTimeOracle:

@@ -7,6 +7,7 @@ import pytest
 
 from fmoheom.cli import main
 from fmoheom.config import ConfigError, load_run_config, parse_config_text
+from fmoheom.heom import HEOMPropagator
 
 FAST = [
     "--set", "system.truncation_N=2",
@@ -78,7 +79,12 @@ class TestConfig:
                                       "integrator.max_step_fs=0",
                                       "system.lambda_cm=-1",
                                       "system.trap_sites=3,9",
-                                      "system.truncation_N=-1"])
+                                      "system.truncation_N=-1",
+                                      "system.truncation_N=40",
+                                      "initial.site=8",
+                                      "pairs=0-3",
+                                      "pairs=1-2,2-1",
+                                      "system.trap_sites=8"])
     def test_bad_value_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -185,6 +191,34 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "t_end_fs" in err and "dt_out_fs" in err
+        assert not out.exists()
+
+    def test_last_sample_is_t_end(self, tmp_path):
+        # 9.99999999999 / 1 is within the 1e-9 grid tolerance of 10 steps.
+        out = tmp_path / "out"
+        rc = main(["simulate", "--out", str(out), "--set", "system.truncation_N=1",
+                   "--set", "system.t_end_fs=9.99999999999",
+                   "--set", "system.dt_out_fs=1", "--set", "pairs=1-2"])
+        assert rc == 0
+        rows = (out / "populations.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [
+            "%.11e" % t for t in [*range(10), 9.99999999999]]
+
+    @pytest.mark.parametrize("command, args, flag", [
+        ("simulate", ["--set", "system.truncation_N=40"], "system.truncation_N"),
+        ("sudden-death", ["--set", "pairs=1-2,2-1"], "pairs"),
+        ("converge", ["--n-max", "40"], "--n-max"),
+        ("converge", ["--n-max", "26"], "--n-max"),
+    ])
+    def test_too_deep_or_repeated_fails_before_output(self, tmp_path, capsys,
+                                                      monkeypatch, command, args, flag):
+        def no_propagator(*_):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(HEOMPropagator, "__init__", no_propagator)
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), *args]) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_pair_outside_sites_fails_before_running(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from fmoheom.heom import (
     HEOMPropagator,
     IntegratorConfig,
+    convergence_study,
     from_real,
     shifted_hamiltonian,
     to_real,
@@ -301,6 +302,27 @@ class TestIntegration:
         assert stats.nfev == sol.nfev
         np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
 
+    def test_step_after_rejection_does_not_grow(self):
+        # A derivative that jumps at 0.5 fs forces rejections after the
+        # first steps have grown; the step that follows a rejection must
+        # not be larger than the rejected one, as in scipy's RK45.
+        def jump(t, y):
+            return np.full_like(y, 1e-3 if t >= 0.5 else 0.0)
+
+        def jump_rhs(t, q, out, work):
+            out[...] = jump(t, q)
+            return out
+
+        prop = HEOMPropagator(SystemParams(truncation_N=0, t_end_fs=20.0))
+        prop.rhs = jump_rhs
+        stats = prop.run(localized_state(1)).stats
+        cfg = prop.config
+        sol = solve_ivp(jump, (0.0, 20.0), localized_state(1).real.reshape(-1),
+                        method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                        first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
+        assert stats.rejected >= 1
+        assert stats.nfev == sol.nfev
+
     def test_stats_count_every_evaluation(self):
         prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))
         calls = counting(prop)
@@ -336,10 +358,13 @@ class TestIntegration:
             prop.run(rho)
         assert calls[0] == 0
 
-    def test_overshooting_grid_override(self, params):
-        prop = HEOMPropagator(params)
-        with pytest.raises(ValueError, match="t_end_fs.*dt_out_fs"):
-            prop.run(localized_state(1), t_end_fs=11.0, dt_out_fs=4.0)
+    def test_convergence_study_checks_every_level_first(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(HEOMPropagator, "run", lambda self, rho0: runs.append(1))
+        p = SystemParams(truncation_N=0, t_end_fs=10.0)
+        with pytest.raises(ValueError, match="node limit"):
+            convergence_study(localized_state(1), p, [2, 40])
+        assert runs == []
 
     def test_bad_initial_shape(self, params):
         prop = HEOMPropagator(params)

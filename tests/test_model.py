@@ -196,3 +196,16 @@ class TestParamValidation:
         # 2.3 / 0.1 is 22.999999999999996 in floating point.
         assert output_steps(2.3, 0.1) == 23
         SystemParams(t_end_fs=2.3, dt_out_fs=0.1)
+
+    @pytest.mark.parametrize("t_end,dt_out", [(2.3, 0.1), (9.99999999999, 1.0),
+                                              (100.0, 0.5)])
+    def test_output_times_end_at_t_end(self, t_end, dt_out):
+        times = SystemParams(t_end_fs=t_end, dt_out_fs=dt_out).output_times()
+        assert times.size == output_steps(t_end, dt_out) + 1
+        assert times[-1] == t_end
+        np.testing.assert_array_equal(times[:-1], np.arange(times.size - 1) * dt_out)
+
+    def test_node_limit(self):
+        assert SystemParams(truncation_N=26).truncation_N == 26  # 4 272 048 nodes
+        with pytest.raises(ValueError, match="truncation_N = 27 .* node limit"):
+            SystemParams(truncation_N=27)
