@@ -31,11 +31,9 @@ from .measures import (
 from .model import (
     ExcitonBasis,
     SystemParams,
-    build_hamiltonian,
     exciton_basis,
     fret_state,
     localized_state,
-    thermal_prefactors,
 )
 
 __version__ = "0.1.0"

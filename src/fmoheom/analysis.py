@@ -2,14 +2,13 @@
 of the FRET initial state, and detection of the abrupt permanent loss of
 nonlocality ("sudden death")."""
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .measures import all_pairs, horodecki_M, reduce_pair
-from .model import CM_TO_RADFS, N_SITES, check_site, fret_state
+from .model import CM_TO_RADFS, N_SITES, check_finite, check_site, fret_state
 
 
 @dataclass(frozen=True)
@@ -136,19 +135,13 @@ class SuddenDeathReport:
     threshold: float
 
 
-def check_threshold(threshold, name="threshold"):
-    """A nonlocality threshold must be finite and nonnegative."""
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {threshold}")
-
-
 def detect_sudden_death(series, threshold=1e-6):
     """Locate the last permanent downward crossing of B through `threshold`.
 
     Returns death_time_fs = None when B never exceeds the threshold, or when
     it is still above it at the end of the grid (no permanent drop observed).
     """
-    check_threshold(threshold)
+    check_finite("threshold", threshold, "nonnegative")
     t = series.times_fs
     b = series.B
     if t.size == 0:

@@ -207,7 +207,7 @@ def _check_args(args):
             raise ConfigError(f"--n-max {args.n_max} (compared with N = "
                               f"{args.n_max + 1}): {exc}") from None
     if args.command == "sudden-death":
-        analysis.check_threshold(args.threshold, name="--threshold")
+        model.check_finite("--threshold", args.threshold, "nonnegative")
 
 
 def main(argv=None):

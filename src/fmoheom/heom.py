@@ -9,11 +9,22 @@ determines zeta (`to_real`, `from_real`). The hierarchy state is a
 
 The derivative of each node is P + P^dagger with
 
-    P = zeta X + sum_k i V_k zeta+_k + sum_k n_k (i a_k + b_k) V_k zeta-_k
-        - 1/2 sum_k n_k gamma_k zeta,    X = i H_eff^dagger,
+    P = zeta X + sum_k i V_k zeta+_k + sum_k n_k (i a + b) V_k zeta-_k
+        - 1/2 gamma |n| zeta,    X = i H_eff^dagger,
 
-where V_k = |k><k|, a_k and b_k are the commutator and anticommutator
-coefficients of Theta_k, and trapping is the anti-Hermitian part of H_eff.
+where V_k = |k><k| and |n| = sum_k n_k is the depth of the node. Every
+site has one Drude mode with the same reorganization energy lambda and
+rate gamma, so `HEOMPropagator` derives four numbers from `SystemParams`
+(rad/fs, hbar = 1, beta = 1 / kT):
+
+    lambda = lambda_cm * CM_TO_RADFS      the site shift in H_eff;
+    gamma = 1 / gamma_inv_fs              the damping rate;
+    a = 2 lambda / beta                   the commutator and
+    b = lambda gamma                      anticommutator coefficients of
+                                          Theta_k = i a [V_k, .] + b {V_k, .}.
+
+H_eff = H_e + lambda I - i r sum_s |s><s|: the trapping
+-r sum_s {|s><s|, .} over the trap sites s is its anti-Hermitian part.
 The right-hand side forms Y = Q - i Q^T = (1 - i) zeta in the
 (count * n, n) row-block layout and evaluates P' = (1 - i) P = Y X + R' Y:
 one 7x7 GEMM and one constant CSR coupling R' with three entries per row
@@ -39,7 +50,7 @@ from scipy.sparse import csr_matrix
 
 from .hierarchy import enumerate_hierarchy
 from .linalg import check_hermitian_matrix
-from .model import N_SITES, build_hamiltonian, thermal_prefactors
+from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5).
 # Row s of _A gives stage s from stages 0..s-1; the last row is the
@@ -83,20 +94,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step_fs", "max_step_fs"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            check_finite(name, getattr(self, name))
 
 
 class IntegrationError(RuntimeError):
     """Integration failed (step-size underflow or tolerance not met)."""
-
-
-def shifted_hamiltonian(params):
-    """H_e plus the site reorganization shifts, in rad/fs."""
-    h = build_hamiltonian(params)
-    lam = thermal_prefactors(params).lam
-    return h + np.diag(lam.astype(complex))
 
 
 def to_real(zeta):
@@ -168,28 +170,30 @@ class HEOMPropagator:
     def __init__(self, params, config=None):
         self.params = params
         self.config = config or IntegratorConfig()
-        self.space = enumerate_hierarchy(N_SITES, params.truncation_N)
-        self.pref = thermal_prefactors(params)
-        self.h_shifted = shifted_hamiltonian(params)
+        self.space = space = enumerate_hierarchy(N_SITES, params.truncation_N)
+        # The bath coefficients (module docstring), in rad/fs with hbar = 1.
+        lam = params.lambda_cm * CM_TO_RADFS
+        gamma = 1.0 / params.gamma_inv_fs
+        kT = KB_CM_PER_K * params.temperature_K * CM_TO_RADFS
 
         # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
         # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
-        h_eff = self.h_shifted.copy()
+        h_eff = (params.hamiltonian_cm * CM_TO_RADFS).astype(complex)
+        h_eff[np.diag_indices(N_SITES)] += lam
         for s in params.trap_sites:
             h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
         self._x = 1j * h_eff.conj().T
 
         # R': Phi_k = i [V_k, .] from the up neighbors and n_k Theta_k from
         # the down neighbors, each through its part acting on row k, and
-        # half the damping -sum_k n_k gamma_k; P + P^dagger restores the
+        # half the damping -gamma sum_k n_k; P + P^dagger restores the
         # column parts and the other half.
-        plus, minus = self.space.neighbors_plus, self.space.neighbors_minus
-        nk = self.space.indices.astype(float)
-        a, b = self.pref.theta_comm, self.pref.theta_anti
-        damp = (nk @ self.pref.gamma)[:, None]
+        down = space.indices * (1j * (2.0 * lam * kT) + lam * gamma)
+        damp = -0.5 * gamma * space.depths[:, None]
         diag = np.arange(self.count)[:, None]
         self._coupling = _neighbor_coupling(
-            (minus, diag, plus), (nk * (1j * a + b), -0.5 * damp, 1j), self.count)
+            (space.neighbors_minus, diag, space.neighbors_plus),
+            (down, damp, 1j), self.count)
 
     @property
     def count(self):
@@ -323,7 +327,7 @@ def convergence_study(rho0, params, n_values, config=None):
     """
     from .linalg import trace_distance
 
-    n_values = sorted(set(int(v) for v in n_values))
+    n_values = sorted(set(n_values))
     needed = sorted(set(n_values) | {v + 1 for v in n_values})
     # Every level is validated before the first one is integrated.
     levels = {n_trunc: replace(params, truncation_N=n_trunc) for n_trunc in needed}

@@ -7,6 +7,7 @@ in every public interface and checked by `check_site`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,13 @@ FMO_HAMILTONIAN_CM = np.array(
 
 def _default_hamiltonian():
     return FMO_HAMILTONIAN_CM.copy()
+
+
+def check_finite(name, value, rule="positive"):
+    """Reject a scalar that is not finite and `rule` (positive or nonnegative)."""
+    low = value > 0 if rule == "positive" else value >= 0
+    if not (low and value < math.inf):
+        raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
 def check_site(x, name):
@@ -81,10 +89,9 @@ class SystemParams:
                            ("temperature_K", "positive"),
                            ("trap_rate_inv_ps", "nonnegative"),
                            ("truncation_N", "nonnegative")):
-            value = getattr(self, name)
-            low = value > 0 if rule == "positive" else value >= 0
-            if not (low and value < math.inf):
-                raise ValueError(f"{name} must be finite and {rule}, got {value}")
+            check_finite(name, getattr(self, name), rule)
+        if not isinstance(self.truncation_N, numbers.Integral):
+            raise ValueError(f"truncation_N must be an integer, got {self.truncation_N}")
         count = hierarchy_count(N_SITES, self.truncation_N)
         if count > MAX_NODES:
             raise ValueError(f"truncation_N = {self.truncation_N} gives {count} "
@@ -130,11 +137,6 @@ def output_steps(t_end_fs, dt_out_fs):
             f"dt_out_fs = {dt_out_fs:g}"
         )
     return steps
-
-
-def build_hamiltonian(params):
-    """Electronic Hamiltonian as a complex matrix in rad/fs."""
-    return params.hamiltonian_cm.astype(complex) * CM_TO_RADFS
 
 
 @dataclass(frozen=True)
@@ -186,30 +188,3 @@ def fret_state(x, basis):
     for v in basis.coeffs:
         rho += v[x - 1] ** 2 * np.outer(v, v)
     return rho
-
-
-@dataclass(frozen=True)
-class ThermalPrefactors:
-    """Per-site bath coefficients in consistent rad/fs powers (hbar = 1).
-
-    lam: reorganization energies (rad/fs); gamma: relaxation rates (fs^-1);
-    theta_comm: 2*lambda/beta (rad^2/fs^2), coefficient of the commutator
-    part of the downward coupling; theta_anti: lambda*gamma (rad/fs^2),
-    coefficient of its anticommutator part.
-    """
-
-    lam: np.ndarray
-    gamma: np.ndarray
-    theta_comm: np.ndarray
-    theta_anti: np.ndarray
-
-
-def thermal_prefactors(params):
-    """Convert bath parameters to the coefficient families used by the hierarchy."""
-    lam = np.full(N_SITES, params.lambda_cm * CM_TO_RADFS)
-    gamma = np.full(N_SITES, 1.0 / params.gamma_inv_fs)
-    kT_radfs = KB_CM_PER_K * params.temperature_K * CM_TO_RADFS
-    theta_comm = 2.0 * lam * kT_radfs  # 2*lambda/beta with beta = 1/kT
-    theta_anti = lam * gamma
-    return ThermalPrefactors(lam=lam, gamma=gamma, theta_comm=theta_comm,
-                             theta_anti=theta_anti)

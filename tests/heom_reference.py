@@ -2,13 +2,43 @@
 
 `fmoheom.heom` evaluates the generator as one vectorized kernel on the
 real storage Q of a Hermitian hierarchy. These per-node operators act on
-complex matrices and follow the equations term by term; the tests check
-the kernel against them.
+complex matrices and follow the equations term by term, with coefficients
+derived here from the parameters; the tests check the kernel, its
+coefficients included, against them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from fmoheom.model import N_SITES
+
+# Wavenumbers to angular frequency: omega = 2 pi c nu, c in cm/fs.
+SPEED_OF_LIGHT_CM_PER_FS = 2.99792458e-5
+# Boltzmann constant in cm^-1 per kelvin.
+BOLTZMANN_CM_PER_K = 0.69503
+
+
+@dataclass(frozen=True)
+class Coefficients:
+    """The Drude-bath HEOM coefficients of one parameter set, hbar = 1."""
+
+    h_shifted: np.ndarray  # H_e + lambda I in rad/fs
+    lam: float             # reorganization energy lambda, rad/fs
+    gamma: float           # relaxation rate gamma, 1/fs
+    theta_comm: float      # 2 lambda / beta, rad^2/fs^2
+    theta_anti: float      # lambda gamma, rad/fs^2
+
+
+def reference_coefficients(params):
+    """Coefficients from the parameters, written out from the paper's formulas."""
+    radfs = 2.0 * np.pi * SPEED_OF_LIGHT_CM_PER_FS
+    lam = params.lambda_cm * radfs
+    gamma = 1.0 / params.gamma_inv_fs
+    beta = 1.0 / (BOLTZMANN_CM_PER_K * params.temperature_K * radfs)
+    h = params.hamiltonian_cm * radfs + lam * np.eye(N_SITES)
+    return Coefficients(h_shifted=h.astype(complex), lam=lam, gamma=gamma,
+                        theta_comm=2.0 * lam / beta, theta_anti=lam * gamma)
 
 
 def commutator(a, b):
@@ -29,9 +59,9 @@ def anticommutator(a, b):
     return a @ b + b @ a
 
 
-def apply_liouvillian(g, h_shifted):
-    """Unitary part: [H_e + sum_k lambda_k |k><k|, g]."""
-    return commutator(h_shifted, g)
+def apply_liouvillian(g, coef):
+    """Unitary part: [H_e + lambda I, g]."""
+    return commutator(coef.h_shifted, g)
 
 
 def _projector(k, n):
@@ -46,12 +76,12 @@ def apply_phi(k, g):
     return 1j * commutator(_projector(k, g.shape[0]), g)
 
 
-def apply_theta(k, g, prefactors):
-    """Downward coupling Theta_k g = i (2 lam_k / beta) [V_k, g] + lam_k gamma_k {V_k, g}."""
+def apply_theta(k, g, coef):
+    """Downward coupling Theta_k g = i (2 lambda / beta) [V_k, g] + lambda gamma {V_k, g}."""
     g = np.asarray(g, dtype=complex)
     v = _projector(k, g.shape[0])
-    return (1j * prefactors.theta_comm[k - 1] * commutator(v, g)
-            + prefactors.theta_anti[k - 1] * anticommutator(v, g))
+    return (1j * coef.theta_comm * commutator(v, g)
+            + coef.theta_anti * anticommutator(v, g))
 
 
 def apply_trapping(g, trap_sites, r_trap):
@@ -67,18 +97,19 @@ def apply_trapping(g, trap_sites, r_trap):
 
 def reference_rhs(prop, z):
     """Derivative of the complex hierarchy state z, shape (count, n, n), node by node."""
-    p, space, pref = prop.params, prop.space, prop.pref
+    p, space = prop.params, prop.space
+    coef = reference_coefficients(p)
     out = np.empty_like(z, dtype=complex)
     for c in range(prop.count):
         nk = space.indices[c]
-        d = -1j * apply_liouvillian(z[c], prop.h_shifted)
-        d -= (nk @ pref.gamma) * z[c]
+        d = -1j * apply_liouvillian(z[c], coef)
+        d -= sum(n * coef.gamma for n in nk) * z[c]
         d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)
         for k in range(N_SITES):
             up, down = space.neighbors_plus[c, k], space.neighbors_minus[c, k]
             if up >= 0:
                 d += apply_phi(k + 1, z[up])
             if down >= 0:
-                d += nk[k] * apply_theta(k + 1, z[down], pref)
+                d += nk[k] * apply_theta(k + 1, z[down], coef)
         out[c] = d
     return out

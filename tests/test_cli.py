@@ -76,6 +76,8 @@ class TestConfig:
                                       "schema_version=x",
                                       "integrator.abs_tol=-1",
                                       "integrator.rel_tol=0",
+                                      "integrator.abs_tol=inf",
+                                      "integrator.rel_tol=inf",
                                       "integrator.max_step_fs=0",
                                       "system.lambda_cm=-1",
                                       "system.trap_sites=3,9",

@@ -9,11 +9,10 @@ from fmoheom.heom import (
     IntegratorConfig,
     convergence_study,
     from_real,
-    shifted_hamiltonian,
     to_real,
 )
 from fmoheom.linalg import NonHermitianError
-from fmoheom.model import SystemParams, localized_state, thermal_prefactors
+from fmoheom.model import SystemParams, localized_state
 
 from conftest import random_hermitian
 from heom_reference import (
@@ -21,6 +20,7 @@ from heom_reference import (
     apply_phi,
     apply_theta,
     apply_trapping,
+    reference_coefficients,
     reference_rhs,
 )
 
@@ -49,28 +49,23 @@ def params():
 
 
 @pytest.fixture(scope="module")
-def pref(params):
-    return thermal_prefactors(params)
-
-
-@pytest.fixture(scope="module")
-def h_shift(params):
-    return shifted_hamiltonian(params)
+def coef(params):
+    return reference_coefficients(params)
 
 
 class TestSuperoperators:
-    def test_liouvillian_identity(self, h_shift):
+    def test_liouvillian_identity(self, coef):
         np.testing.assert_allclose(
-            apply_liouvillian(np.eye(7, dtype=complex), h_shift), 0, atol=1e-15)
+            apply_liouvillian(np.eye(7, dtype=complex), coef), 0, atol=1e-15)
 
-    def test_liouvillian_self(self, h_shift):
+    def test_liouvillian_self(self, coef):
         np.testing.assert_allclose(
-            apply_liouvillian(h_shift, h_shift), 0, atol=1e-15)
+            apply_liouvillian(coef.h_shifted, coef), 0, atol=1e-15)
 
-    def test_liouvillian_traceless(self, h_shift):
+    def test_liouvillian_traceless(self, coef):
         rng = np.random.default_rng(0)
         g = random_hermitian(rng, 7)
-        out = apply_liouvillian(g, h_shift)
+        out = apply_liouvillian(g, coef)
         assert abs(np.trace(out)) < 1e-14
 
     def test_phi_on_diagonal(self):
@@ -85,29 +80,29 @@ class TestSuperoperators:
         expected[1, 4] = 1j
         np.testing.assert_allclose(out, expected)
 
-    def test_phi_theta_hermiticity(self, pref):
+    def test_phi_theta_hermiticity(self, coef):
         rng = np.random.default_rng(1)
         g = random_hermitian(rng, 7)
         for k in range(1, 8):
             out = apply_phi(k, g)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-14)
-            out = apply_theta(k, g, pref)
+            out = apply_theta(k, g, coef)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-14)
 
-    def test_theta_on_projector(self, pref):
+    def test_theta_on_projector(self, coef):
         k = 4
         v = np.zeros((7, 7), dtype=complex)
         v[k - 1, k - 1] = 1.0
-        out = apply_theta(k, v, pref)
-        np.testing.assert_allclose(out, 2.0 * pref.theta_anti[k - 1] * v,
+        out = apply_theta(k, v, coef)
+        np.testing.assert_allclose(out, 2.0 * coef.theta_anti * v,
                                    atol=1e-15)
 
-    def test_theta_trace(self, pref):
+    def test_theta_trace(self, coef):
         rng = np.random.default_rng(2)
         g = random_hermitian(rng, 7)
         for k in range(1, 8):
-            tr = np.trace(apply_theta(k, g, pref))
-            expected = 2.0 * pref.theta_anti[k - 1] * g[k - 1, k - 1]
+            tr = np.trace(apply_theta(k, g, coef))
+            expected = 2.0 * coef.theta_anti * g[k - 1, k - 1]
             assert abs(tr - expected) < 1e-13
 
     def test_trapping_projector(self):
@@ -137,7 +132,8 @@ class TestRHS:
         prop = HEOMPropagator(p)
         rho = localized_state(1)
         dq = prop.rhs(0.0, prop.initial_hierarchy(rho))
-        expected = -1j * (prop.h_shifted @ rho - rho @ prop.h_shifted)
+        h = reference_coefficients(p).h_shifted
+        expected = -1j * (h @ rho - rho @ h)
         np.testing.assert_allclose(from_real(dq[0]), expected, atol=1e-15)
 
     def test_top_trace_conserved_without_trapping(self):
@@ -183,10 +179,17 @@ class TestRHS:
         np.testing.assert_allclose(from_real(dq), dz, rtol=0, atol=1e-12)
         assert np.trace(dq[0]) <= 0.0
 
-    @pytest.mark.parametrize("n_trunc", [2, 3])
-    def test_matches_superoperators(self, n_trunc):
-        # The kernel against the per-node definition of every HEOM term.
-        prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
+    @pytest.mark.parametrize("params", [
+        SystemParams(truncation_N=2),
+        SystemParams(truncation_N=3),
+        SystemParams(truncation_N=2, temperature_K=77.0, lambda_cm=100.0,
+                     gamma_inv_fs=100.0, trap_rate_inv_ps=0, trap_sites=(3,)),
+    ], ids=["2", "3", "2-77K"])
+    def test_matches_superoperators(self, params):
+        # The kernel against the per-node definition of every HEOM term,
+        # its coefficients derived independently, at the paper's bath and
+        # at a colder, stronger and slower one.
+        prop = HEOMPropagator(params)
         rng = np.random.default_rng(8)
         z = random_hierarchy(rng, prop.count)
         np.testing.assert_allclose(from_real(prop.rhs(0.0, to_real(z))),
@@ -364,6 +367,14 @@ class TestIntegration:
         p = SystemParams(truncation_N=0, t_end_fs=10.0)
         with pytest.raises(ValueError, match="node limit"):
             convergence_study(localized_state(1), p, [2, 40])
+        assert runs == []
+
+    def test_convergence_study_rejects_fractional_level(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(HEOMPropagator, "run", lambda self, rho0: runs.append(1))
+        p = SystemParams(truncation_N=0, t_end_fs=10.0)
+        with pytest.raises(ValueError, match="truncation_N must be an integer"):
+            convergence_study(localized_state(1), p, [1.7])
         assert runs == []
 
     def test_bad_initial_shape(self, params):

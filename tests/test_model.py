@@ -6,15 +6,13 @@ from fmoheom.model import (
     FMO_HAMILTONIAN_CM,
     KB_CM_PER_K,
     SystemParams,
-    build_hamiltonian,
     exciton_basis,
     fret_state,
     localized_state,
     output_steps,
-    thermal_prefactors,
 )
 
-from heom_reference import commutator
+from heom_reference import commutator, reference_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +44,9 @@ class TestHamiltonian:
         assert h[3, 4] == -70.7
 
     def test_converted_entry(self, params):
-        h = build_hamiltonian(params)
-        assert abs(h[0, 1].real - (-87.7 * 1.88365e-4)) < 1e-7
-        assert abs(h[0, 1].real + 0.016520) < 1e-5
+        h = params.hamiltonian_cm * CM_TO_RADFS
+        assert abs(h[0, 1] - (-87.7 * 1.88365e-4)) < 1e-7
+        assert abs(h[0, 1] + 0.016520) < 1e-5
 
     def test_rejects_asymmetric(self):
         h = SystemParams(truncation_N=0).hamiltonian_cm.copy()
@@ -128,15 +126,18 @@ class TestFretState:
             fret_state(0, basis)
 
 
-class TestThermalPrefactors:
+class TestReferenceCoefficients:
     def test_values(self):
-        p = SystemParams(truncation_N=0)
-        pref = thermal_prefactors(p)
-        np.testing.assert_allclose(pref.lam, 35.0 * CM_TO_RADFS)
-        np.testing.assert_allclose(pref.gamma, 0.02)
+        # The paper's bath: lambda = 35 cm^-1, gamma^-1 = 50 fs, 300 K.
+        coef = reference_coefficients(SystemParams(truncation_N=0))
+        np.testing.assert_allclose(coef.lam, 35.0 * CM_TO_RADFS)
+        np.testing.assert_allclose(coef.gamma, 0.02)
         kT = KB_CM_PER_K * 300.0 * CM_TO_RADFS
-        np.testing.assert_allclose(pref.theta_comm, 2 * 35.0 * CM_TO_RADFS * kT)
-        np.testing.assert_allclose(pref.theta_anti, 35.0 * CM_TO_RADFS * 0.02)
+        np.testing.assert_allclose(coef.theta_comm, 2 * 35.0 * CM_TO_RADFS * kT)
+        np.testing.assert_allclose(coef.theta_anti, 35.0 * CM_TO_RADFS * 0.02)
+        np.testing.assert_allclose(
+            coef.h_shifted,
+            (FMO_HAMILTONIAN_CM + 35.0 * np.eye(7)) * CM_TO_RADFS)
 
 
 class TestParamValidation:
@@ -161,9 +162,10 @@ class TestParamValidation:
         {"truncation_N": -1},
         {"trap_sites": (0, 4)},
         {"dt_out_fs": 0.0},
+        {"truncation_N": 2.5},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SystemParams(**kwargs)
 
     @pytest.mark.parametrize("key,value", [
