@@ -13,23 +13,24 @@ The derivative of each node is P + P^dagger with
         - 1/2 gamma |n| zeta,    X = i H_eff^dagger,
 
 where V_k = |k><k| and |n| = sum_k n_k is the depth of the node. Every
-site has one Drude mode with the same reorganization energy lambda and
-rate gamma, so `HEOMPropagator` derives four numbers from `SystemParams`
-(rad/fs, hbar = 1, beta = 1 / kT):
+site has one Drude mode with the same reorganization energy lambda =
+lambda_cm * CM_TO_RADFS and rate gamma, so `HEOMPropagator` derives three
+numbers from `SystemParams` (rad/fs, hbar = 1, beta = 1 / kT):
 
-    lambda = lambda_cm * CM_TO_RADFS      the site shift in H_eff;
     gamma = 1 / gamma_inv_fs              the damping rate;
     a = 2 lambda / beta                   the commutator and
     b = lambda gamma                      anticommutator coefficients of
                                           Theta_k = i a [V_k, .] + b {V_k, .}.
 
-H_eff = H_e + lambda I - i r sum_s |s><s|: the trapping
--r sum_s {|s><s|, .} over the trap sites s is its anti-Hermitian part.
+H_eff = H_e - i r sum_s |s><s|: the trapping -r sum_s {|s><s|, .} over
+the trap sites s is its anti-Hermitian part. The site shift lambda of
+H_e + lambda I is left out: with one lambda for every site it is a real
+multiple of the identity, which cancels in P + P^dagger.
 The right-hand side forms Y = Q - i Q^T = (1 - i) zeta in the
 (count * n, n) row-block layout and evaluates P' = (1 - i) P = Y X + R' Y:
-one 7x7 GEMM and one constant CSR coupling R' with three entries per row
-(down neighbour, damping, up neighbour). The derivative of Q is then
-Re P' - (Im P')^T.
+one 7x7 GEMM and one constant CSR coupling R' with at most three entries
+per row (down neighbour, damping, up neighbour) and no stored zeros. The
+derivative of Q is then Re P' - (Im P')^T.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of scipy's RK45, in a loop that owns every state-sized buffer.
@@ -141,29 +142,6 @@ class Trajectory:
         return np.real(np.trace(self.rhos, axis1=1, axis2=2))
 
 
-def _neighbor_coupling(neighbors, values, count):
-    """One CSR entry per (row c * n + k, table) from neighbor tables, n = N_SITES.
-
-    Row c * n + k of the result picks row k of node neighbors[t][c, k]
-    with weight values[t][c, k]; tables and values broadcast to
-    (count, n). A missing neighbor (negative rank) keeps its slot as an
-    explicit zero on the diagonal, so every row has the same width.
-    """
-    n = N_SITES
-    m = count * n
-    rows = np.arange(m, dtype=np.int32).reshape(count, n)
-    k = np.arange(n, dtype=np.int32)
-    width = len(neighbors)
-    indices = np.empty((m, width), dtype=np.int32)
-    data = np.empty((m, width), dtype=complex)
-    for j, (nb, val) in enumerate(zip(neighbors, values)):
-        present = np.broadcast_to(nb >= 0, (count, n))
-        indices[:, j] = np.where(present, nb * n + k, rows).reshape(-1)
-        data[:, j] = np.where(present, val, 0.0).reshape(-1)
-    indptr = np.arange(0, width * m + 1, width, dtype=np.int32)
-    return csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(m, m))
-
-
 class HEOMPropagator:
     """Precomputed HEOM right-hand side and integrator for fixed parameters."""
 
@@ -179,21 +157,36 @@ class HEOMPropagator:
         # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
         # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
         h_eff = (params.hamiltonian_cm * CM_TO_RADFS).astype(complex)
-        h_eff[np.diag_indices(N_SITES)] += lam
         for s in params.trap_sites:
             h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
         self._x = 1j * h_eff.conj().T
 
-        # R': Phi_k = i [V_k, .] from the up neighbors and n_k Theta_k from
-        # the down neighbors, each through its part acting on row k, and
-        # half the damping -gamma sum_k n_k; P + P^dagger restores the
-        # column parts and the other half.
-        down = space.indices * (1j * (2.0 * lam * kT) + lam * gamma)
-        damp = -0.5 * gamma * space.depths[:, None]
-        diag = np.arange(self.count)[:, None]
-        self._coupling = _neighbor_coupling(
-            (space.neighbors_minus, diag, space.neighbors_plus),
-            (down, damp, 1j), self.count)
+        # R' in canonical CSR. Row c * n + k acts on row k of node c's
+        # neighbours, in column order: n_k Theta_k on the down neighbour
+        # (when n_k > 0), half the damping -gamma sum_k n_k, and
+        # Phi_k = i [V_k, .] on the up neighbour (when n + e_k is within
+        # the truncation: the row is the `lower` end of a down edge).
+        # P + P^dagger restores the column parts and the other half. Down
+        # neighbours rank lower and up neighbours higher, so nothing is sorted.
+        n, m = N_SITES, self.count * N_SITES
+        node, site = np.nonzero(space.indices)
+        upper = node * n + site
+        lower = space.neighbors_minus[node, site] * n + site
+        has_down = (space.indices > 0).reshape(-1)
+        width = 1 + has_down
+        width[lower] += 1
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(width, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1], dtype=complex)
+        first, diag, last = indptr[upper], indptr[:-1] + has_down, indptr[lower + 1] - 1
+        indices[first] = lower
+        data[first] = space.indices[node, site] * (1j * (2.0 * lam * kT) + lam * gamma)
+        indices[diag] = np.arange(m)
+        data[diag] = np.repeat(-0.5 * gamma * space.depths, n)
+        indices[last] = upper
+        data[last] = 1j
+        self._coupling = csr_matrix((data, indices, indptr), shape=(m, m))
 
     @property
     def count(self):

@@ -2,10 +2,10 @@
 
 Multi-indices n = (n_1, ..., n_K) with sum(n) <= N are laid out in graded
 lexicographic order (by depth, then lexicographically within a depth) and
-addressed by a flat rank. Neighbor tables (rank of n with n_k incremented
-or decremented) are precomputed once, by binary search over integer keys
-that increase in that order, so the right-hand side never performs hash
-lookups.
+addressed by a flat rank. The hierarchy holds one neighbour table: the
+rank of n with n_k decremented, found once by binary search over integer
+keys that increase in that order. The up-neighbour of n along k is the
+node whose down-neighbour along k is n, so the table holds every edge.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import numpy as np
 # Refuse to enumerate hierarchies that would not fit in memory anyway.
 MAX_NODES = 5_000_000
 
-# Sentinel rank for a missing neighbor (above truncation or n_k = 0).
+# Sentinel rank for a missing down-neighbour (n_k = 0).
 NO_NEIGHBOR = -1
 
 
@@ -34,8 +34,8 @@ def _graded_keys(indices, depth_max):
     """
     n_sites = indices.shape[1]
     base = depth_max + 1
-    # Largest key queried: a top-depth node plus the largest offset.
-    if base * (base**n_sites + base**(n_sites - 1)) > np.iinfo(np.int64).max:
+    # Every key is below B**(n+1); down-neighbour queries are smaller still.
+    if base ** (n_sites + 1) > np.iinfo(np.int64).max:
         raise ValueError(
             f"hierarchy keys for {n_sites} sites at depth {depth_max} overflow int64"
         )
@@ -44,31 +44,15 @@ def _graded_keys(indices, depth_max):
     return keys, base**n_sites + digits
 
 
-def enumerate_multi_indices(n_sites, depth_max):
-    """Multi-indices in graded lexicographic order as an (count, n_sites) array."""
-    indices = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n_sites):
-        room = depth_max - indices.sum(axis=1)
-        indices = np.concatenate([
-            np.column_stack([np.full(np.count_nonzero(room >= v), v),
-                             indices[room >= v]])
-            for v in range(depth_max + 1)
-        ])
-    keys, _ = _graded_keys(indices, depth_max)
-    return indices[np.argsort(keys)]
-
-
 @dataclass(frozen=True)
 class HierarchyIndexSpace:
-    """Flat index space over the hierarchy with precomputed adjacency.
+    """Flat index space over the hierarchy with its neighbour table.
 
-    neighbors_plus[i, k] is the rank of indices[i] with n_k incremented,
-    or NO_NEIGHBOR when that would exceed the truncation depth;
-    neighbors_minus[i, k] likewise for decrementing.
+    neighbors_minus[i, k] is the rank of indices[i] with n_k decremented,
+    or NO_NEIGHBOR when n_k = 0.
     """
 
     indices: np.ndarray          # (count, n_sites)
-    neighbors_plus: np.ndarray   # (count, n_sites)
     neighbors_minus: np.ndarray  # (count, n_sites)
 
     @property
@@ -81,7 +65,7 @@ class HierarchyIndexSpace:
 
 
 def enumerate_hierarchy(n_sites, depth_max):
-    """Build the full HierarchyIndexSpace for sum(n) <= depth_max."""
+    """Build the HierarchyIndexSpace for sum(n) <= depth_max."""
     if depth_max < 0:
         raise ValueError("truncation depth must be nonnegative")
     count = hierarchy_count(n_sites, depth_max)
@@ -89,16 +73,19 @@ def enumerate_hierarchy(n_sites, depth_max):
         raise ValueError(
             f"hierarchy with {count} nodes exceeds the {MAX_NODES} node limit"
         )
-    indices = enumerate_multi_indices(n_sites, depth_max)
+    indices = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_sites):
+        room = depth_max - indices.sum(axis=1)
+        indices = np.concatenate([
+            np.column_stack([np.full(np.count_nonzero(room >= v), v),
+                             indices[room >= v]])
+            for v in range(depth_max + 1)
+        ])
     keys, step = _graded_keys(indices, depth_max)
+    order = np.argsort(keys)
+    indices, keys = indices[order], keys[order]
 
-    plus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
     minus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
-    depths = indices.sum(axis=1)
-    has_plus = np.repeat(depths < depth_max, n_sites).reshape(count, n_sites)
     has_minus = indices > 0
-    plus[has_plus] = np.searchsorted(keys, (keys[:, None] + step)[has_plus])
     minus[has_minus] = np.searchsorted(keys, (keys[:, None] - step)[has_minus])
-
-    return HierarchyIndexSpace(indices=indices, neighbors_plus=plus,
-                               neighbors_minus=minus)
+    return HierarchyIndexSpace(indices=indices, neighbors_minus=minus)

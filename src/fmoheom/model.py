@@ -46,7 +46,12 @@ def _default_hamiltonian():
 
 
 def check_finite(name, value, rule="positive"):
-    """Reject a scalar that is not finite and `rule` (positive or nonnegative)."""
+    """Reject a scalar unless it is a real number that is finite and `rule`.
+
+    `rule` is "positive" or "nonnegative".
+    """
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     low = value > 0 if rule == "positive" else value >= 0
     if not (low and value < math.inf):
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
@@ -85,13 +90,18 @@ class SystemParams:
             raise ValueError("hamiltonian_cm must be finite")
         if np.max(np.abs(h - h.T)) > 1e-12 * max(np.max(np.abs(h)), 1.0):
             raise ValueError("hamiltonian_cm must be symmetric")
+        if not isinstance(self.truncation_N, numbers.Integral):
+            raise ValueError(
+                f"truncation_N must be an integer, got {self.truncation_N!r}")
+        if not (isinstance(self.trap_sites, tuple)
+                and all(isinstance(s, numbers.Integral) for s in self.trap_sites)):
+            raise ValueError(
+                f"trap_sites must be a tuple of integer sites, got {self.trap_sites!r}")
         for name, rule in (("lambda_cm", "positive"), ("gamma_inv_fs", "positive"),
                            ("temperature_K", "positive"),
                            ("trap_rate_inv_ps", "nonnegative"),
                            ("truncation_N", "nonnegative")):
             check_finite(name, getattr(self, name), rule)
-        if not isinstance(self.truncation_N, numbers.Integral):
-            raise ValueError(f"truncation_N must be an integer, got {self.truncation_N}")
         count = hierarchy_count(N_SITES, self.truncation_N)
         if count > MAX_NODES:
             raise ValueError(f"truncation_N = {self.truncation_N} gives {count} "

@@ -96,9 +96,14 @@ def apply_trapping(g, trap_sites, r_trap):
 
 
 def reference_rhs(prop, z):
-    """Derivative of the complex hierarchy state z, shape (count, n, n), node by node."""
+    """Derivative of the complex hierarchy state z, shape (count, n, n), node by node.
+
+    Neighbours are looked up in a rank dict of the multi-indices, not in
+    the propagator's neighbour table.
+    """
     p, space = prop.params, prop.space
     coef = reference_coefficients(p)
+    rank = {tuple(int(v) for v in row): i for i, row in enumerate(space.indices)}
     out = np.empty_like(z, dtype=complex)
     for c in range(prop.count):
         nk = space.indices[c]
@@ -106,10 +111,12 @@ def reference_rhs(prop, z):
         d -= sum(n * coef.gamma for n in nk) * z[c]
         d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)
         for k in range(N_SITES):
-            up, down = space.neighbors_plus[c, k], space.neighbors_minus[c, k]
-            if up >= 0:
-                d += apply_phi(k + 1, z[up])
-            if down >= 0:
-                d += nk[k] * apply_theta(k + 1, z[down], coef)
+            up, down = list(nk), list(nk)
+            up[k] += 1
+            down[k] -= 1
+            if tuple(up) in rank:
+                d += apply_phi(k + 1, z[rank[tuple(up)]])
+            if tuple(down) in rank:
+                d += nk[k] * apply_theta(k + 1, z[rank[tuple(down)]], coef)
         out[c] = d
     return out

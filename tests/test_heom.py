@@ -195,6 +195,16 @@ class TestRHS:
         np.testing.assert_allclose(from_real(prop.rhs(0.0, to_real(z))),
                                    reference_rhs(prop, z), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n_trunc", range(5))
+    def test_coupling_stores_no_zeros(self, n_trunc):
+        # One damping entry per row, plus a down and an up entry for each
+        # edge n - e_k -> n of the hierarchy, that is for each n_k > 0.
+        prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
+        coupling = prop._coupling
+        edges = np.count_nonzero(prop.space.indices)
+        assert coupling.nnz == 7 * prop.count + 2 * edges
+        assert coupling.has_canonical_format
+
     def test_shape_mismatch(self, params):
         prop = HEOMPropagator(params)
         with pytest.raises(ValueError):

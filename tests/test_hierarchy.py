@@ -6,7 +6,6 @@ import pytest
 from fmoheom.hierarchy import (
     NO_NEIGHBOR,
     enumerate_hierarchy,
-    enumerate_multi_indices,
     hierarchy_count,
 )
 
@@ -43,7 +42,7 @@ class TestCounting:
 
 class TestOrdering:
     def test_graded_lex(self):
-        idx = enumerate_multi_indices(3, 2)
+        idx = enumerate_hierarchy(3, 2).indices
         depths = idx.sum(axis=1)
         assert np.all(np.diff(depths) >= 0)  # graded
         for d in range(3):
@@ -61,22 +60,6 @@ class TestAdjacency:
     def space():
         return enumerate_hierarchy(7, 4)
 
-    def test_plus_minus_roundtrip(self, space):
-        for i in range(space.count):
-            for k in range(7):
-                ip = space.neighbors_plus[i, k]
-                if ip != NO_NEIGHBOR:
-                    assert space.neighbors_minus[ip, k] == i
-                im = space.neighbors_minus[i, k]
-                if im != NO_NEIGHBOR:
-                    assert space.neighbors_plus[im, k] == i
-
-    def test_top_depth_has_no_plus(self, space):
-        top = space.depths == 4
-        assert np.all(space.neighbors_plus[top] == NO_NEIGHBOR)
-        below = space.depths < 4
-        assert np.all(space.neighbors_plus[below] != NO_NEIGHBOR)
-
     def test_minus_iff_positive(self, space):
         has_minus = space.neighbors_minus != NO_NEIGHBOR
         np.testing.assert_array_equal(has_minus, space.indices > 0)
@@ -88,8 +71,6 @@ class TestAdjacency:
                 for i, row in enumerate(space.indices)}
         for i, row in enumerate(space.indices):
             for k in range(n_sites):
-                up, down = list(row), list(row)
-                up[k] += 1
+                down = list(row)
                 down[k] -= 1
-                assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
                 assert space.neighbors_minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)

@@ -163,6 +163,9 @@ class TestParamValidation:
         {"trap_sites": (0, 4)},
         {"dt_out_fs": 0.0},
         {"truncation_N": 2.5},
+        {"truncation_N": "3"},
+        {"trap_sites": (3.5,)},
+        {"trap_sites": 3},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
