@@ -26,15 +26,19 @@ H_eff = H_e - i r sum_s |s><s|: the trapping -r sum_s {|s><s|, .} over
 the trap sites s is its anti-Hermitian part. The site shift lambda of
 H_e + lambda I is left out: with one lambda for every site it is a real
 multiple of the identity, which cancels in P + P^dagger.
-The right-hand side forms Y = Q - i Q^T = (1 - i) zeta in the
-(count * n, n) row-block layout and evaluates P' = (1 - i) P = Y X + R' Y:
-one 7x7 GEMM and one constant CSR coupling R' with at most three entries
-per row (down neighbour, damping, up neighbour) and no stored zeros. The
-derivative of Q is then Re P' - (Im P')^T.
+The right-hand side is one compiled kernel (`_kernel.c`, built and
+loaded by `fmoheom.kernel`). It makes one pass over the nodes; for each
+node it forms Y = Q - i Q^T = (1 - i) zeta in registers, evaluates
+P' = (1 - i) P = Y X + R' Y, and writes the derivative of Q,
+Re P' - (Im P')^T, once. R' is a constant CSR coupling with at most
+three entries per row (down neighbour, damping, up neighbour) and no
+stored zeros; row k of Y of a neighbour is row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
-control of scipy's RK45, in a loop that owns every state-sized buffer.
-Its RMS error norm is taken over the moduli |zeta_ij| =
+control of `solve_ivp`'s RK45, in a loop that owns every state-sized
+buffer. The stage sums y + h sum_j a_sj k_j and the RMS error norm run
+in the same compiled unit; step control, FSAL, dense output and sampling
+stay here. The error norm is taken over the moduli |zeta_ij| =
 sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the complex
 state, so the step sequence is that of RK45 on zeta. The loop ends at
 exactly t_end, the last time of `SystemParams.output_times()`; the dense
@@ -47,8 +51,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
+from . import kernel
 from .hierarchy import enumerate_hierarchy
 from .linalg import check_hermitian_matrix
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
@@ -57,7 +61,7 @@ from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 # Row s of _A gives stage s from stages 0..s-1; the last row is the
 # fifth-order solution, whose derivative is the first stage of the next
 # step (FSAL). _E is the fifth- minus fourth-order weight over all seven
-# stages and _P the quartic dense-output polynomial of scipy's RK45
+# stages and _P the quartic dense-output polynomial of `solve_ivp`'s RK45
 # (Shampine, Math. Comp. 46, 135 (1986)).
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
 _A = np.array([
@@ -159,7 +163,7 @@ class HEOMPropagator:
         h_eff = (params.hamiltonian_cm * CM_TO_RADFS).astype(complex)
         for s in params.trap_sites:
             h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
-        self._x = 1j * h_eff.conj().T
+        self._x = np.ascontiguousarray(1j * h_eff.conj().T)
 
         # R' in canonical CSR. Row c * n + k acts on row k of node c's
         # neighbours, in column order: n_k Theta_k on the down neighbour
@@ -186,7 +190,8 @@ class HEOMPropagator:
         data[diag] = np.repeat(-0.5 * gamma * space.depths, n)
         indices[last] = upper
         data[last] = 1j
-        self._coupling = csr_matrix((data, indices, indptr), shape=(m, m))
+        self._indptr, self._indices, self._data = indptr, indices, data
+        self._op = kernel.bind(self.count, self._x, indptr, indices, data)
 
     @property
     def count(self):
@@ -205,31 +210,26 @@ class HEOMPropagator:
         q[0] = to_real(rho0)
         return q
 
-    def work_arrays(self):
-        """Scratch for `rhs`: Y and P' in the (count * n, n) complex layout."""
-        return np.empty((2, self.count * N_SITES, N_SITES), dtype=complex)
-
-    def rhs(self, t, q, out=None, work=None):
+    def rhs(self, t, q, out=None):
         """Time derivative of the real hierarchy state Q, shape (count, n, n).
 
-        The derivative is written to `out` and returned. `work` is scratch
-        from `work_arrays()`; both are allocated when not given.
+        Both `q` and `out` must be C-contiguous float64 arrays of that
+        shape that share no memory; the derivative is written to `out`
+        (allocated when not given) and returned.
         """
-        shape = self.state_shape
-        q = np.asarray(q)
-        if q.shape != shape or q.dtype != np.float64:
-            raise ValueError(f"hierarchy state must be a float64 array of shape "
-                             f"{shape}, got {q.dtype} {q.shape}")
-        y2, p2 = self.work_arrays() if work is None else work
-        y = y2.reshape(shape)
-        y.real = q
-        np.negative(q.transpose(0, 2, 1), out=y.imag)
-        np.matmul(y2, self._x, out=p2)
-        p2 += self._coupling @ y2
-        p = p2.reshape(shape)
         if out is None:
-            out = np.empty(shape)
-        return np.subtract(p.real, p.imag.transpose(0, 2, 1), out=out)
+            out = np.empty(self.state_shape)
+        for name, a in (("hierarchy state", q), ("derivative", out)):
+            if not (isinstance(a, np.ndarray) and a.shape == self.state_shape
+                    and a.dtype == np.float64 and a.flags.c_contiguous):
+                raise ValueError(
+                    f"{name} must be a C-contiguous float64 array of shape "
+                    f"{self.state_shape}, got {getattr(a, 'dtype', type(a))} "
+                    f"{getattr(a, 'shape', '')}")
+        if np.shares_memory(q, out):
+            raise ValueError("the derivative must not overlap the hierarchy state")
+        kernel.LIB.heom_rhs(self._op, q.ctypes.data, out.ctypes.data)
+        return out
 
     def run(self, rho0):
         """Integrate from a factorized initial condition; return a Trajectory.
@@ -248,13 +248,14 @@ class HEOMPropagator:
         cfg = self.config
         k = np.empty((7,) + y.shape)
         y_new = np.empty_like(y)
-        work = self.work_arrays()
-        # Between right-hand side calls the work arrays are free; they hold
-        # the error estimate and its scale, two real states.
-        err, scale = work.reshape(-1).view(float).reshape((4,) + y.shape)[:2]
-        flat = k.reshape(7, -1)
+        # The compiled stage sum and error norm take raw pointers to these
+        # buffers, which live until the loop ends; y and y_new swap after
+        # each step.
+        stage, norm = kernel.LIB.heom_stage, kernel.LIB.heom_error_norm
+        kp, yp, ynp = k.ctypes.data, y.ctypes.data, y_new.ctypes.data
+        a_rows, e = [row.ctypes.data for row in _A], _E.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
-        self.rhs(t, y, out=k[0], work=work)
+        self.rhs(t, y, out=k[0])
         nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
         next_i = 1
         while t < t_end:
@@ -269,21 +270,11 @@ class HEOMPropagator:
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 for s in range(1, 7):
-                    np.dot(_A[s, :s], flat[:s], out=y_new.reshape(-1))
-                    y_new *= h
-                    y_new += y
-                    self.rhs(t + _C[s] * h, y_new, out=k[s], work=work)
+                    stage(y.size, s, a_rows[s], h, yp, kp, ynp)
+                    self.rhs(t + _C[s] * h, y_new, out=k[s])
                 nfev += 6
-                # RMS norm over |zeta_ij| = hypot(Q_ij, Q_ji) / sqrt(2).
-                np.hypot(y, y.transpose(0, 2, 1), out=scale)
-                np.hypot(y_new, y_new.transpose(0, 2, 1), out=err)
-                np.maximum(scale, err, out=scale)
-                scale *= cfg.rel_tol / math.sqrt(2.0)
-                scale += cfg.abs_tol
-                np.dot(_E, flat, out=err.reshape(-1))
-                err *= h
-                err /= scale
-                error_norm = math.sqrt(np.dot(err.reshape(-1), err.reshape(-1)) / err.size)
+                error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
+                                  yp, ynp, kp)
                 if error_norm < 1:
                     factor = (_MAX_FACTOR if error_norm == 0 else
                               min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2))
@@ -299,12 +290,12 @@ class HEOMPropagator:
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
                 if poly is None:
                     # RK45's dense output restricted to the physical block.
-                    poly = flat[:, :N_SITES**2].T @ _P
+                    poly = k[:, 0].reshape(7, -1).T @ _P
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
                 samples[next_i] = (h * (poly @ p)).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
-            t, y, y_new = t_new, y_new, y
+            t, y, y_new, yp, ynp = t_new, y_new, y, ynp, yp
             k[0] = k[6]
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)

@@ -48,13 +48,17 @@ def _default_hamiltonian():
 def check_finite(name, value, rule="positive"):
     """Reject a scalar unless it is a real number that is finite and `rule`.
 
-    `rule` is "positive" or "nonnegative".
+    `rule` is "positive" or "nonnegative". A bool is not a number here.
     """
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     low = value > 0 if rule == "positive" else value >= 0
     if not (low and value < math.inf):
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_site(x, name):
@@ -90,11 +94,11 @@ class SystemParams:
             raise ValueError("hamiltonian_cm must be finite")
         if np.max(np.abs(h - h.T)) > 1e-12 * max(np.max(np.abs(h)), 1.0):
             raise ValueError("hamiltonian_cm must be symmetric")
-        if not isinstance(self.truncation_N, numbers.Integral):
+        if not _is_integer(self.truncation_N):
             raise ValueError(
                 f"truncation_N must be an integer, got {self.truncation_N!r}")
         if not (isinstance(self.trap_sites, tuple)
-                and all(isinstance(s, numbers.Integral) for s in self.trap_sites)):
+                and all(_is_integer(s) for s in self.trap_sites)):
             raise ValueError(
                 f"trap_sites must be a tuple of integer sites, got {self.trap_sites!r}")
         for name, rule in (("lambda_cm", "positive"), ("gamma_inv_fs", "positive"),
@@ -137,8 +141,8 @@ def output_steps(t_end_fs, dt_out_fs):
     A ratio within 1e-9 of an integer is accepted; `output_times` then
     places the last sample at t_end_fs.
     """
-    if not (0 < t_end_fs < math.inf and 0 < dt_out_fs < math.inf):
-        raise ValueError("t_end_fs and dt_out_fs must be positive and finite")
+    check_finite("t_end_fs", t_end_fs)
+    check_finite("dt_out_fs", dt_out_fs)
     ratio = t_end_fs / dt_out_fs
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:

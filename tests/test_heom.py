@@ -198,12 +198,16 @@ class TestRHS:
     @pytest.mark.parametrize("n_trunc", range(5))
     def test_coupling_stores_no_zeros(self, n_trunc):
         # One damping entry per row, plus a down and an up entry for each
-        # edge n - e_k -> n of the hierarchy, that is for each n_k > 0.
+        # edge n - e_k -> n of the hierarchy, that is for each n_k > 0;
+        # every row lists its columns once, in ascending order.
         prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
-        coupling = prop._coupling
+        indptr, indices = prop._indptr, prop._indices
         edges = np.count_nonzero(prop.space.indices)
-        assert coupling.nnz == 7 * prop.count + 2 * edges
-        assert coupling.has_canonical_format
+        assert indptr[0] == 0 and indptr[-1] == indices.size == prop._data.size
+        assert indices.size == 7 * prop.count + 2 * edges
+        assert np.all(np.diff(indptr) >= 1)
+        for r in range(7 * prop.count):
+            assert np.all(np.diff(indices[indptr[r]:indptr[r + 1]]) > 0)
 
     def test_shape_mismatch(self, params):
         prop = HEOMPropagator(params)
@@ -221,14 +225,41 @@ class TestRHS:
         with pytest.raises(ValueError, match="float64 array of shape"):
             prop.rhs(0.0, state(prop.count))
 
-    def test_out_and_work_buffers(self, params):
+    def test_out_buffer(self, params):
         prop = HEOMPropagator(params)
         rng = np.random.default_rng(10)
         q = to_real(random_hierarchy(rng, prop.count))
         out = np.empty_like(q)
-        res = prop.rhs(0.0, q, out=out, work=prop.work_arrays())
+        res = prop.rhs(0.0, q, out=out)
         assert res is out
         np.testing.assert_array_equal(out, prop.rhs(0.0, q))
+
+    def test_rejects_out_overlapping_state(self, params):
+        # The kernel reads the neighbours of a node after it has written
+        # other nodes' derivatives, so an output sharing the state's
+        # memory is refused, whether it is the state or a shifted view.
+        prop = HEOMPropagator(params)
+        size = prop.count * 49
+        buf = np.random.default_rng(11).normal(size=size + 49)
+        q = buf[:size].reshape(prop.state_shape)
+        for out in (q, buf[49:].reshape(prop.state_shape)):
+            with pytest.raises(ValueError, match="must not overlap"):
+                prop.rhs(0.0, q, out=out)
+
+    @pytest.mark.parametrize("which", ["state", "derivative"])
+    @pytest.mark.parametrize("bad", [
+        lambda shape: np.zeros(shape, dtype=np.float32),
+        lambda shape: np.zeros(shape[:1] + (7, 14))[:, :, ::2],
+        lambda shape: np.zeros(shape).transpose(0, 2, 1),
+        lambda shape: np.zeros((shape[0] + 1, 7, 7)),
+    ], ids=["float32", "strided", "transposed", "shape"])
+    def test_rejects_non_contiguous_float64(self, params, which, bad):
+        prop = HEOMPropagator(params)
+        good = np.zeros(prop.state_shape)
+        q, out = ((bad(prop.state_shape), good) if which == "state"
+                  else (good, bad(prop.state_shape)))
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            prop.rhs(0.0, q, out=out)
 
 
 class TestIntegration:
@@ -322,7 +353,7 @@ class TestIntegration:
         def jump(t, y):
             return np.full_like(y, 1e-3 if t >= 0.5 else 0.0)
 
-        def jump_rhs(t, q, out, work):
+        def jump_rhs(t, q, out):
             out[...] = jump(t, q)
             return out
 
@@ -386,6 +417,14 @@ class TestIntegration:
         with pytest.raises(ValueError, match="truncation_N must be an integer"):
             convergence_study(localized_state(1), p, [1.7])
         assert runs == []
+
+    @pytest.mark.parametrize("key,value", [
+        ("abs_tol", True), ("rel_tol", False), ("initial_step_fs", True),
+        ("max_step_fs", float("nan")), ("abs_tol", 0.0), ("rel_tol", "1e-8"),
+    ])
+    def test_integrator_config_rejects(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            IntegratorConfig(**{key: value})
 
     def test_bad_initial_shape(self, params):
         prop = HEOMPropagator(params)

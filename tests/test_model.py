@@ -166,6 +166,11 @@ class TestParamValidation:
         {"truncation_N": "3"},
         {"trap_sites": (3.5,)},
         {"trap_sites": 3},
+        {"truncation_N": True},
+        {"trap_sites": (True,)},
+        {"lambda_cm": True},
+        {"trap_rate_inv_ps": False},
+        {"t_end_fs": True},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
