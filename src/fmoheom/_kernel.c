@@ -10,26 +10,20 @@
  * a vector.
  *
  * heom_stage forms a Dormand-Prince stage state and heom_error_norm the
- * RMS norm of the step's error estimate. Every array is C-contiguous and
- * checked by the caller; nothing is allocated here.
+ * RMS norm of the step's error estimate. Each function takes the node
+ * count first. Complex arrays hold real and imaginary parts interleaved,
+ * as numpy's complex128 does. Every array is C-contiguous and checked by
+ * the caller; nothing is allocated here.
  */
 #include <math.h>
 #include <string.h>
 
 #define N 7    /* sites: a node is N x N */
 #define NN (N * N)
+#define STAGES 7
 #define BLOCK 512
 
 typedef double v4 __attribute__((vector_size(32)));
-
-/* Complex arrays hold real and imaginary parts interleaved, as numpy's
- * complex128 does. */
-typedef struct {
-    long count;                   /* hierarchy nodes */
-    const double *x;              /* X = i H_eff^dagger, N x N complex */
-    const int *indptr, *indices;  /* R' in CSR: count * N rows, columns node * N + k */
-    const double *r;              /* the complex entries of R' */
-} heom_op;
 
 /* Row p[0..6] as two vectors, the eighth lane zero. */
 static inline void row(const double *p, v4 v[2])
@@ -54,14 +48,17 @@ static inline void col(const double *p, v4 v[2])
     v[1] = (v4){p[4 * N], p[5 * N], p[6 * N], 0.0};
 }
 
-void heom_rhs(const heom_op *op, const double *q, double *out)
+/* x is X = i H_eff^dagger, N x N complex; indptr, indices and r are R' in
+ * CSR over count * N rows, column node * N + k, with complex entries r. */
+void heom_rhs(long count, const double *x, const int *indptr, const int *indices,
+              const double *r, const double *q, double *out)
 {
     v4 xr[N][2], xi[N][2];
     for (int l = 0; l < N; l++) {
-        complex_row(op->x + 2 * l * N, 0, xr[l]);
-        complex_row(op->x + 2 * l * N, 1, xi[l]);
+        complex_row(x + 2 * l * N, 0, xr[l]);
+        complex_row(x + 2 * l * N, 1, xi[l]);
     }
-    for (long c = 0; c < op->count; c++) {
+    for (long c = 0; c < count; c++) {
         const double *qc = q + c * NN;
         v4 pr[N][2], pi[N][2];
         /* P' = Y X with Y = Q - i Q^T */
@@ -78,10 +75,10 @@ void heom_rhs(const heom_op *op, const double *q, double *out)
         }
         /* P' += R' Y: row k of Y of a neighbour is row k minus i column k of its Q */
         for (int k = 0; k < N; k++) {
-            long r = c * N + k;
-            for (int j = op->indptr[r]; j < op->indptr[r + 1]; j++) {
-                const double *qn = q + (long)(op->indices[j] / N) * NN;
-                double dr = op->r[2 * j], di = op->r[2 * j + 1];
+            long row_ck = c * N + k;
+            for (int j = indptr[row_ck]; j < indptr[row_ck + 1]; j++) {
+                const double *qn = q + (long)(indices[j] / N) * NN;
+                double dr = r[2 * j], di = r[2 * j + 1];
                 v4 u[2], w[2];
                 row(qn + k * N, u);
                 col(qn + k, w);
@@ -105,26 +102,28 @@ void heom_rhs(const heom_op *op, const double *q, double *out)
     }
 }
 
-/* y_new = y + h sum_{j < s} a[j] k_j over m doubles; stage j starts at k + j m. */
-void heom_stage(long m, int s, const double *a, double h, const double *y,
-                const double *k, double *y_new)
+/* y_new = y + h sum_{j < s} a[s][j] k_j over the count * NN doubles of a
+ * state, with a the Dormand-Prince tableau; stage j starts at k + j m. */
+void heom_stage(long count, int s, const double a[][STAGES - 1], double h,
+                const double *y, const double *k, double *y_new)
 {
+    long m = count * NN;
     for (long i0 = 0; i0 < m; i0 += BLOCK) {
         long len = m - i0 < BLOCK ? m - i0 : BLOCK;
         double acc[BLOCK];
         for (long i = 0; i < len; i++)
-            acc[i] = a[0] * k[i0 + i];
+            acc[i] = a[s][0] * k[i0 + i];
         for (int j = 1; j < s; j++) {
             const double *kj = k + j * m + i0;
             for (long i = 0; i < len; i++)
-                acc[i] += a[j] * kj[i];
+                acc[i] += a[s][j] * kj[i];
         }
         for (long i = 0; i < len; i++)
             y_new[i0 + i] = y[i0 + i] + h * acc[i];
     }
 }
 
-/* RMS over every entry of (h sum_j e[j] k_j) / scale with the seven stages
+/* RMS over every entry of (h sum_j e[j] k_j) / scale with the STAGES stages
  * k_j, where scale = atol + rtol max(|zeta_ij|, |zeta_new_ij|) and
  * |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the modulus of the complex
  * entry that Q stores. */
@@ -145,7 +144,7 @@ double heom_error_norm(long count, const double *e, double h, double atol,
             }
         for (int i = 0; i < NN; i++)
             err[i] = e[0] * k[c * NN + i];
-        for (int j = 1; j < 7; j++)
+        for (int j = 1; j < STAGES; j++)
             for (int i = 0; i < NN; i++)
                 err[i] += e[j] * k[j * m + c * NN + i];
         for (int i = 0; i < NN; i++) {

@@ -171,10 +171,13 @@ class ShortTimeFit:
     rel_dev_quadratic_C: Optional[float]
 
 
-def _fit_leading(t, y, powers, lead):
+def _fit_leading(t, y, powers, lead, window_fs):
     """Least-squares fit of y ~ sum_p a_p t^p; return coefficient of t^lead."""
     a = np.vstack([t ** p for p in powers]).T
-    coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+    if rank < len(powers):
+        raise ValueError(f"window_fs = {window_fs} fs holds {t.size} samples, "
+                         f"too few to fit {len(powers)} terms")
     return float(coeffs[powers.index(lead)])
 
 
@@ -192,9 +195,9 @@ def short_time_validation(series, prediction, window_fs=5.0):
     cw = series.C[sel]
     bw = series.B[sel]
 
-    slope_c = _fit_leading(tw, cw, [1, 2, 3], 1)
-    slope_b = _fit_leading(tw, bw, [1, 2, 3], 1)
-    quad_c = _fit_leading(tw, cw, [2, 3, 4], 2)
+    slope_c = _fit_leading(tw, cw, [1, 2, 3], 1, window_fs)
+    slope_b = _fit_leading(tw, bw, [1, 2, 3], 1, window_fs)
+    quad_c = _fit_leading(tw, cw, [2, 3, 4], 2, window_fs)
 
     def rel(fit, ref):
         return abs(fit - ref) / abs(ref) if ref != 0.0 else None

@@ -18,19 +18,15 @@ from .config import ConfigError, load_run_config
 FLOAT_FMT = "%.11e"
 
 
-def _fmt(value):
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return "nan"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FMT % float(value)
-
-
 def write_csv(path, header, rows):
+    """Write `rows` (sequences or a 2-D array) under `header`: a column whose first
+    value is an integer as %d, any other as FLOAT_FMT, None and "nan" as nan."""
+    table = np.array(list(rows), dtype=object).reshape(-1, len(header))
+    ints = [isinstance(v, (int, np.integer)) for v in table[0]] if len(table) else []
+    line = ",".join("%d" if i else FLOAT_FMT for i in ints) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in table.astype(float).tolist())
 
 
 def _initial_state(cfg):

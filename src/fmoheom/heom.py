@@ -31,8 +31,10 @@ loaded by `fmoheom.kernel`). It makes one pass over the nodes; for each
 node it forms Y = Q - i Q^T = (1 - i) zeta in registers, evaluates
 P' = (1 - i) P = Y X + R' Y, and writes the derivative of Q,
 Re P' - (Im P')^T, once. R' is a constant CSR coupling with at most
-three entries per row (down neighbour, damping, up neighbour) and no
-stored zeros; row k of Y of a neighbour is row k and column k of its Q.
+three entries per row (down neighbour, damping, up neighbour); its only
+zeros are the top node's seven damping entries, -gamma 0 / 2, kept so a
+term on R''s diagonal needs no new entries. Row k of Y of a neighbour is
+row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45, in a loop that owns every state-sized
@@ -191,7 +193,7 @@ class HEOMPropagator:
         indices[last] = upper
         data[last] = 1j
         self._indptr, self._indices, self._data = indptr, indices, data
-        self._op = kernel.bind(self.count, self._x, indptr, indices, data)
+        self._args = kernel.bind(self.count, self._x, indptr, indices, data)
 
     @property
     def count(self):
@@ -219,16 +221,11 @@ class HEOMPropagator:
         """
         if out is None:
             out = np.empty(self.state_shape)
-        for name, a in (("hierarchy state", q), ("derivative", out)):
-            if not (isinstance(a, np.ndarray) and a.shape == self.state_shape
-                    and a.dtype == np.float64 and a.flags.c_contiguous):
-                raise ValueError(
-                    f"{name} must be a C-contiguous float64 array of shape "
-                    f"{self.state_shape}, got {getattr(a, 'dtype', type(a))} "
-                    f"{getattr(a, 'shape', '')}")
+        q_ptr = kernel.check("hierarchy state", q, np.float64, self.state_shape)
+        out_ptr = kernel.check("derivative", out, np.float64, self.state_shape)
         if np.shares_memory(q, out):
             raise ValueError("the derivative must not overlap the hierarchy state")
-        kernel.LIB.heom_rhs(self._op, q.ctypes.data, out.ctypes.data)
+        kernel.LIB.heom_rhs(*self._args, q_ptr, out_ptr)
         return out
 
     def run(self, rho0):
@@ -253,7 +250,7 @@ class HEOMPropagator:
         # each step.
         stage, norm = kernel.LIB.heom_stage, kernel.LIB.heom_error_norm
         kp, yp, ynp = k.ctypes.data, y.ctypes.data, y_new.ctypes.data
-        a_rows, e = [row.ctypes.data for row in _A], _E.ctypes.data
+        tableau, e = _A.ctypes.data, _E.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=k[0])
         nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
@@ -270,7 +267,7 @@ class HEOMPropagator:
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 for s in range(1, 7):
-                    stage(y.size, s, a_rows[s], h, yp, kp, ynp)
+                    stage(self.count, s, tableau, h, yp, kp, ynp)
                     self.rhs(t + _C[s] * h, y_new, out=k[s])
                 nfev += 6
                 error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
@@ -309,6 +306,8 @@ def convergence_study(rho0, params, n_values, config=None):
     Returns a list of (N, D) pairs for every N in `n_values`. Trajectories
     are shared between adjacent truncation levels.
     """
+    # Imported at call time: perfbench patches fmoheom.linalg.trace_distance
+    # then, and a module-level import would hide that layer from it.
     from .linalg import trace_distance
 
     n_values = sorted(set(n_values))

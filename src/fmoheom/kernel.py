@@ -3,12 +3,13 @@
 The source is compiled with the system C compiler the first time this
 module is imported in an environment, and loaded with ctypes:
 
-    cc -O3 -march=native -shared -fPIC -o <library> _kernel.c
+    cc -O3 -march=native -shared -fPIC -o _kernel-KEY.so _kernel.c
 
-The library is cached in ${XDG_CACHE_HOME:-~/.cache}/fmoheom/ under a
-name that hashes the source, the compile command and the CPU identity
-(`cpu_identity`), so a build for one CPU is never loaded on another.
-It is written to a temporary file and moved into place, so concurrent
+The library is cached in ${XDG_CACHE_HOME:-~/.cache}/fmoheom/, where
+KEY hashes the source, COMPILER, FLAGS and the CPU identity
+(`cpu_identity`): a build for one CPU is never loaded on another, and
+checkouts of one source share a build. Old builds are never removed. A
+build is written to a temporary file and moved into place, so concurrent
 first imports each see either no library or a complete one. A missing
 or failing compiler raises ImportError naming the command.
 """
@@ -28,35 +29,35 @@ COMPILER = "cc"
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 
 
-class Operator(ctypes.Structure):
-    """`heom_op` of `_kernel.c`: the constant arrays of one propagator."""
-
-    _fields_ = [("count", ctypes.c_long), ("x", ctypes.c_void_p),
-                ("indptr", ctypes.c_void_p), ("indices", ctypes.c_void_p),
-                ("r", ctypes.c_void_p)]
+def check(name, array, dtype, shape):
+    """Address of `array`, or ValueError naming it unless it is a C-contiguous
+    numpy array of exactly `dtype` and `shape`."""
+    if not (isinstance(array, np.ndarray) and array.dtype == dtype
+            and array.shape == shape and array.flags.c_contiguous):
+        raise ValueError(
+            f"{name} must be a C-contiguous {np.dtype(dtype)} array of shape "
+            f"{shape}, got {getattr(array, 'dtype', type(array))} "
+            f"{getattr(array, 'shape', '')}")
+    return array.ctypes.data
 
 
 def bind(count, x, indptr, indices, data):
-    """Pointer to the `heom_op` of one propagator, after checking its arrays.
-
-    `x` (7 x 7) and `data` are C-contiguous complex128, `indptr` (one
-    entry per row plus one) and `indices` C-contiguous int32 in CSR form
-    over count * 7 rows. The caller keeps every array alive as long as the
-    pointer is used.
-    """
+    """The constant leading arguments of `heom_rhs`: count, then the addresses
+    of X (7 x 7 complex128) and of R' in CSR over count * 7 rows (int32
+    `indptr` and `indices`, complex128 `data`). The caller keeps the arrays
+    alive while the addresses are used."""
     rows = count * 7
-    for name, a, dtype in (("x", x, np.complex128), ("indptr", indptr, np.int32),
-                           ("indices", indices, np.int32), ("data", data, np.complex128)):
-        if a.dtype != dtype or not a.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array")
-    if (x.shape != (7, 7) or indptr.shape != (rows + 1,) or indptr[0] != 0
-            or np.any(np.diff(indptr) < 0) or indices.shape != data.shape
-            or indices.shape != (indptr[-1],)
-            or (indices.size and not 0 <= indices.min() <= indices.max() < rows)):
-        raise ValueError(f"x must be 7 x 7 and (indptr, indices, data) CSR over "
-                         f"{rows} rows and columns")
-    return ctypes.pointer(Operator(count, x.ctypes.data, indptr.ctypes.data,
-                                   indices.ctypes.data, data.ctypes.data))
+    x_ptr = check("x", x, np.complex128, (7, 7))
+    indptr_ptr = check("indptr", indptr, np.int32, (rows + 1,))
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must start at 0 and never decrease")
+    nnz = (int(indptr[-1]),)
+    indices_ptr = check("indices", indices, np.int32, nnz)
+    data_ptr = check("data", data, np.complex128, nnz)
+    if indices.size and not 0 <= indices.min() <= indices.max() < rows:
+        raise ValueError(f"indices must lie in 0..{rows - 1}, the columns of "
+                         f"CSR over {rows} rows")
+    return count, x_ptr, indptr_ptr, indices_ptr, data_ptr
 
 
 def cache_dir():
@@ -83,18 +84,15 @@ def cpu_identity():
 def build(directory=None):
     """Path of the compiled library in `directory`, compiling it if absent."""
     directory = Path(directory or cache_dir())
-    # The key holds the command with its two paths as placeholders: the
-    # source is hashed by content, so every checkout shares one build.
-    command = [COMPILER, *FLAGS, "-o", "<library>", "<source>"]
     key = hashlib.sha256("\0".join(
-        [SOURCE.read_text(), " ".join(command), cpu_identity()]).encode())
+        [SOURCE.read_text(), COMPILER, *FLAGS, cpu_identity()]).encode())
     library = directory / f"_kernel-{key.hexdigest()[:16]}.so"
     if library.exists():
         return library
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")
     os.close(fd)
-    command[-3:] = ["-o", tmp, str(SOURCE)]
+    command = [COMPILER, *FLAGS, "-o", tmp, str(SOURCE)]
     try:
         subprocess.run(command, check=True, capture_output=True, text=True)
         os.replace(tmp, library)
@@ -112,7 +110,8 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.heom_rhs.argtypes = [ctypes.POINTER(Operator), ptr, ptr]
+    # heom_rhs(count, x, indptr, indices, r, q, out)
+    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.heom_rhs.restype = None
     lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, double, ptr, ptr, ptr]
     lib.heom_stage.restype = None

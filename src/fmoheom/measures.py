@@ -144,15 +144,14 @@ def wootters_concurrence(rho4):
     trace-deficient case.
     """
     rho4 = check_hermitian_matrix(rho4, rtol=1e-6, name="pair state")
-    evals = np.linalg.eigvalsh(rho4)
+    evals, vecs = np.linalg.eigh(rho4)
     if evals[0] < -1e-8 * max(evals[-1], 1.0):
         raise ValueError(f"pair state is not positive (min eigenvalue {evals[0]:.3e})")
-    yy = PAULI_PAIRS[1, 1]
-    # The eigenvalues of R = sqrt(sqrt(rho) rho_tilde sqrt(rho)) are the
-    # square roots of the eigenvalues of rho @ rho_tilde.
-    rho_tilde = yy @ rho4.conj() @ yy
-    lam2 = np.linalg.eigvals(rho4 @ rho_tilde)
-    lam = np.sort(np.sqrt(np.clip(lam2.real, 0.0, None)))[::-1]
+    # With rho = W W^dagger, the eigenvalues of R are the singular values of
+    # W^T (sigma_y x sigma_y) W, accurate to rounding; square roots of the
+    # eigenvalues of rho @ rho_tilde turn a 1e-17 error at zero into 3e-9.
+    w = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    lam = np.linalg.svd(w.T @ PAULI_PAIRS[1, 1] @ w, compute_uv=False)
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
 
 

@@ -9,6 +9,18 @@ def random_hermitian(rng, dim):
     return 0.5 * (a + a.conj().T)
 
 
+def pair_state(tr, p_m, p_n, c):
+    """Reduced pair state of trace tr in the basis 00, 01, 10, 11: site
+    populations p_m and p_n, coherence c and no double excitation."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = tr - p_m - p_n
+    mat[1, 1] = p_n
+    mat[2, 2] = p_m
+    mat[1, 2] = c
+    mat[2, 1] = np.conj(c)
+    return mat
+
+
 def random_pair_state(rng, max_trace=1.0):
     """Random single-excitation reduced pair state respecting positivity."""
     tr = rng.uniform(0.2, max_trace)
@@ -16,13 +28,7 @@ def random_pair_state(rng, max_trace=1.0):
     p_n = rng.uniform(0, tr - p_m)
     c_abs = rng.uniform(0, np.sqrt(p_m * p_n))
     c = c_abs * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = tr - p_m - p_n
-    mat[1, 1] = p_n
-    mat[2, 2] = p_m
-    mat[1, 2] = c
-    mat[2, 1] = np.conj(c)
-    return mat, p_m, p_n, c, tr
+    return pair_state(tr, p_m, p_n, c), p_m, p_n, c, tr
 
 
 @pytest.fixture(scope="session")

@@ -191,3 +191,14 @@ class TestShortTimeValidation:
         with pytest.raises(ValueError):
             short_time_validation(pair_series(unitary_traj, 1, 2),
                                   preds[(1, 2)], window_fs=100.0)
+
+    @pytest.mark.parametrize("window_fs,samples", [(5.0, 2), (0.0, 1)])
+    def test_window_with_too_few_samples(self, params, window_fs, samples):
+        # Three terms cannot be fitted to one or two samples: the fit is
+        # refused instead of returning an underdetermined or all-zero answer.
+        t = np.arange(0.0, 25.0, 5.0)
+        series = _series(t, np.zeros_like(t), c=0.1 * t)
+        pred = short_time_oracle(1, params)[(1, 2)]
+        with pytest.raises(ValueError, match=f"window_fs = {window_fs} fs holds "
+                                             f"{samples} samples"):
+            short_time_validation(series, pred, window_fs=window_fs)

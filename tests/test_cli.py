@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fmoheom.cli import main
+from fmoheom.cli import main, write_csv
 from fmoheom.config import ConfigError, load_run_config, parse_config_text
 from fmoheom.heom import HEOMPropagator
 
@@ -86,11 +86,22 @@ class TestConfig:
                                       "initial.site=8",
                                       "pairs=0-3",
                                       "pairs=1-2,2-1",
+                                      "pairs=1+2",
+                                      "schema_version=2",
                                       "system.trap_sites=8"])
     def test_bad_value_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_run_config(overrides=[item])
+
+    def test_integral_site_and_all_pairs_accepted(self):
+        cfg = load_run_config(overrides=["initial.site=2.0", "pairs=all"])
+        assert cfg.initial_site == 2 and isinstance(cfg.initial_site, int)
+        assert cfg.pairs == "all" and len(cfg.pair_list()) == 21
+
+    def test_override_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="override must look like key=value"):
+            load_run_config(overrides=["pairs"])
 
     def test_grid_error_names_both_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -231,6 +242,20 @@ class TestSimulate:
         assert "pairs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_integration_exit_code(self, tmp_path, capsys, monkeypatch):
+        rhs = HEOMPropagator.rhs
+
+        def nan_after_2fs(self, t, q, out=None):
+            out = rhs(self, t, q, out)
+            if t > 2.0:
+                out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(HEOMPropagator, "rhs", nan_after_2fs)
+        assert main(["simulate", "--out", str(tmp_path), *FAST]) == 1
+        assert ("error: Dormand-Prince step failed at t = 2 fs"
+                in capsys.readouterr().err)
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path),
                    "--set", "bogus.key=1"])
@@ -299,6 +324,12 @@ class TestOracleCommand:
         assert dom[1].split(",")[:3] == ["1", "1", "2"]
         assert "dominant pair for x=1: (1,2)" in capsys.readouterr().out
 
+    def test_no_dominant_pair(self, tmp_path, capsys):
+        out = tmp_path / "oracle"
+        assert main(["oracle", "--out", str(out), "--set", "initial.site=4"]) == 0
+        assert (out / "dominant_pair.csv").read_bytes() == b"x,pair_m,pair_n\n4,nan,nan\n"
+        assert "dominant pair for x=4: none" in capsys.readouterr().out
+
 
 class TestFretReportCommand:
     def test_report(self, tmp_path):
@@ -309,3 +340,17 @@ class TestFretReportCommand:
         assert len(rows) == 8
         summary = (out / "fret_summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "1" and summary[1] == "1" and summary[2] == "2"
+
+
+class TestWriteCsv:
+    def test_bytes(self, tmp_path):
+        # Integer columns by their first row; None and "nan" as nan.
+        rows = [(1, None, -np.inf), (2, "nan", 0.5)]
+        write_csv(tmp_path / "rows.csv", ["n", "a", "b"], iter(rows))
+        assert (tmp_path / "rows.csv").read_bytes() == (
+            b"n,a,b\n1,nan,-inf\n2,nan,5.00000000000e-01\n")
+        write_csv(tmp_path / "array.csv", ["t", "x"],
+                  np.array([[0.0, 1.25], [1.0, -2e-300]]))
+        assert (tmp_path / "array.csv").read_bytes() == (
+            b"t,x\n0.00000000000e+00,1.25000000000e+00\n"
+            b"1.00000000000e+00,-2.00000000000e-300\n")

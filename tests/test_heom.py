@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from fmoheom.heom import (
     HEOMPropagator,
+    IntegrationError,
     IntegratorConfig,
     convergence_study,
     from_real,
@@ -196,10 +197,12 @@ class TestRHS:
                                    reference_rhs(prop, z), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n_trunc", range(5))
-    def test_coupling_stores_no_zeros(self, n_trunc):
+    def test_coupling_stores_zeros_only_for_top_damping(self, n_trunc):
         # One damping entry per row, plus a down and an up entry for each
         # edge n - e_k -> n of the hierarchy, that is for each n_k > 0;
-        # every row lists its columns once, in ascending order.
+        # every row lists its columns once, in ascending order. The only
+        # stored zeros are the damping -gamma 0 / 2 of the top node's seven
+        # rows, each the row's first (diagonal) entry.
         prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
         indptr, indices = prop._indptr, prop._indices
         edges = np.count_nonzero(prop.space.indices)
@@ -208,6 +211,9 @@ class TestRHS:
         assert np.all(np.diff(indptr) >= 1)
         for r in range(7 * prop.count):
             assert np.all(np.diff(indices[indptr[r]:indptr[r + 1]]) > 0)
+        zeros = np.flatnonzero(prop._data == 0)
+        np.testing.assert_array_equal(zeros, indptr[:7])
+        np.testing.assert_array_equal(indices[zeros], np.arange(7))
 
     def test_shape_mismatch(self, params):
         prop = HEOMPropagator(params)
@@ -366,6 +372,23 @@ class TestIntegration:
                         first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
         assert stats.rejected >= 1
         assert stats.nfev == sol.nfev
+
+    def test_failed_step_raises(self):
+        # A derivative that turns NaN after 2 fs fails every step past it;
+        # the step shrinks to the underflow limit and the run stops there.
+        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=10.0))
+        rhs = prop.rhs
+
+        def nan_after_2fs(t, q, out):
+            rhs(t, q, out=out)
+            if t > 2.0:
+                out[...] = np.nan
+            return out
+
+        prop.rhs = nan_after_2fs
+        with pytest.raises(IntegrationError,
+                           match="Dormand-Prince step failed at t = 2 fs"):
+            prop.run(localized_state(1))
 
     def test_stats_count_every_evaluation(self):
         prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))

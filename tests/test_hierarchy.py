@@ -17,6 +17,10 @@ class TestCounting:
     def test_single_site(self):
         assert enumerate_hierarchy(1, 3).count == 4
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
+            enumerate_hierarchy(7, -1)
+
     def test_paper_truncation_level(self):
         assert hierarchy_count(7, 12) == 50388
         assert hierarchy_count(7, 12) == comb(19, 7)

@@ -52,7 +52,7 @@ def test_stage_matches_numpy(count):
     out = np.empty_like(y)
     h = 0.37
     for s in range(1, 7):
-        kernel.LIB.heom_stage(y.size, s, _A[s].ctypes.data, h, y.ctypes.data,
+        kernel.LIB.heom_stage(count, s, _A.ctypes.data, h, y.ctypes.data,
                               k.ctypes.data, out.ctypes.data)
         terms = np.abs(y) + h * np.tensordot(np.abs(_A[s, :s]), np.abs(k[:s]), axes=1)
         expected = y + h * np.tensordot(_A[s, :s], k[:s], axes=1)
@@ -96,12 +96,16 @@ def test_bind_checks_the_arrays():
     indptr = np.arange(8, dtype=np.int32)
     indices = np.arange(7, dtype=np.int32)
     data = np.ones(7, dtype=complex)
-    kernel.bind(1, x, indptr, indices, data)
+    assert kernel.bind(1, x, indptr, indices, data)[0] == 1
     with pytest.raises(ValueError, match="x must be a C-contiguous complex128"):
         kernel.bind(1, np.asfortranarray(x + np.eye(7, k=1)), indptr, indices, data)
     with pytest.raises(ValueError, match="indices must be a C-contiguous int32"):
         kernel.bind(1, x, indptr, indices.astype(np.int64), data)
     with pytest.raises(ValueError, match="CSR over 7 rows"):
         kernel.bind(1, x, indptr, indices + 1, data)
-    with pytest.raises(ValueError, match="CSR over 14 rows"):
+    with pytest.raises(ValueError, match=r"indptr must be .* of shape \(15,\)"):
         kernel.bind(2, x, indptr, indices, data)
+    with pytest.raises(ValueError, match="indptr must start at 0"):
+        kernel.bind(1, x, indptr[::-1].copy(), indices, data)
+    with pytest.raises(ValueError, match=r"data must be .* of shape \(7,\)"):
+        kernel.bind(1, x, indptr, indices, data[:6])

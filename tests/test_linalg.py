@@ -45,6 +45,10 @@ class TestCheckHermitian:
             stack.append(a)
         assert _fails_check(np.array(stack)) == any(map(_fails_check, stack))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"must be square, got shape \(2, 3\)"):
+            check_hermitian(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("func", [
         lambda s: trace_distance(s, s),
         hermitian_eigen,

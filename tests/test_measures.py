@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from fmoheom.heom import HEOMPropagator
@@ -19,7 +21,7 @@ from fmoheom.measures import (
 )
 from fmoheom.model import SystemParams, exciton_basis, fret_state, localized_state
 
-from conftest import random_pair_state
+from conftest import pair_state, random_pair_state
 
 
 def bell_state():
@@ -57,6 +59,10 @@ class TestReducePair:
     def test_same_site_rejected(self, basis):
         with pytest.raises(ValueError):
             reduce_pair(fret_state(1, basis), 2, 2)
+
+    def test_site_outside_the_state_rejected(self):
+        with pytest.raises(ValueError, match=r"pair \(1,5\) outside 1..4"):
+            reduce_pair(np.diag([1.0, 0.0, 0.0, 0.0]), 1, 5)
 
     def test_order_insensitive(self, basis):
         rho = fret_state(1, basis)
@@ -147,6 +153,28 @@ class TestClosedForm:
             assert meas.C == meas.l1
             if meas.B > 0:
                 assert meas.C > 0
+
+    @settings(deadline=None, max_examples=300)
+    @given(tr=st.sampled_from([1.0]) | st.floats(1e-3, 1.0),
+           excited=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           saturation=st.sampled_from([1.0]) | st.floats(0.0, 1.0),
+           phase=st.floats(0.0, 2 * np.pi))
+    @example(tr=1.0, excited=1.0, share=0.5, saturation=1.0, phase=0.0)
+    @example(tr=1.0, excited=0.7, share=0.0, saturation=1.0, phase=1.0)
+    @example(tr=0.4, excited=1.0, share=1.0, saturation=0.3, phase=2.0)
+    def test_matches_general_path_on_drawn_states(self, tr, excited, share,
+                                                  saturation, phase):
+        # Boundaries drawn on purpose: trace 1, a zero population and
+        # |rho_mn| = sqrt(rho_mm rho_nn), the edge of positivity.
+        from fmoheom.measures import ReducedPairState
+        p_m, p_n = tr * excited * share, tr * excited * (1.0 - share)
+        c = saturation * np.sqrt(p_m * p_n) * np.exp(1j * phase)
+        mat = pair_state(tr, p_m, p_n, c)
+        meas = closed_form_measures(
+            ReducedPairState(m=1, n=2, matrix=mat, source_trace=tr))
+        assert abs(meas.B - nonlocality_B(mat)) < 1e-10
+        assert abs(meas.C - wootters_concurrence(mat)) < 1e-10
 
 
 class TestWootters:

@@ -84,6 +84,11 @@ class TestExcitonBasis:
         gaps = np.diff(basis.energies_cm)
         assert np.all(gaps > 1.0)
 
+    def test_degenerate_energies_rejected(self):
+        h = np.diag([0.0, 0.0, 100.0, 200.0, 300.0, 400.0, 500.0])
+        with pytest.raises(ValueError, match="nearly degenerate"):
+            exciton_basis(SystemParams(truncation_N=0, hamiltonian_cm=h))
+
     def test_paper_coefficients(self, basis):
         # Excitons 3 and 6 on sites 1 and 2, paper sign convention.
         assert abs(basis.coeffs[2, 0] - 0.877) < 5e-4
@@ -171,6 +176,7 @@ class TestParamValidation:
         {"lambda_cm": True},
         {"trap_rate_inv_ps": False},
         {"t_end_fs": True},
+        {"hamiltonian_cm": np.eye(6)},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
