@@ -2,12 +2,12 @@
  *
  * heom_rhs evaluates the right-hand side of the real hierarchy state Q
  * (count nodes of 7 x 7 doubles, row-major) in one pass over the nodes.
- * For node c it forms Y = Q - i Q^T, computes P' = Y X + R' Y, where row
- * (c, k) of the CSR coupling R' reads row k of Y of each neighbour, that
- * is row k and column k of the neighbour's Q, and writes
- * dQ = Re P' - (Im P')^T. A row of 7 doubles is held as two 4-double
- * vectors with a zero eighth lane, so every product is a broadcast times
- * a vector.
+ * For node c it forms Y = Q - i Q^T, computes P' = Y X + R' Y, where row k
+ * of R' Y is n_k (a_re + i a_im), -gamma |n| / 2 and i times row k of Y of
+ * the down neighbour c - e_k, of c and of the up neighbour c + e_k (row k
+ * and column k of that node's Q), and writes dQ = Re P' - (Im P')^T. A row
+ * of 7 doubles is held as two 4-double vectors with a zero eighth lane, so
+ * every product is a broadcast times a vector.
  *
  * heom_stage forms a Dormand-Prince stage state and heom_error_norm the
  * RMS norm of the step's error estimate. Each function takes the node
@@ -16,6 +16,7 @@
  * the caller; nothing is allocated here.
  */
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 #define N 7    /* sites: a node is N x N */
@@ -48,10 +49,24 @@ static inline void col(const double *p, v4 v[2])
     v[1] = (v4){p[4 * N], p[5 * N], p[6 * N], 0.0};
 }
 
-/* x is X = i H_eff^dagger, N x N complex; indptr, indices and r are R' in
- * CSR over count * N rows, column node * N + k, with complex entries r. */
-void heom_rhs(long count, const double *x, const int *indptr, const int *indices,
-              const double *r, const double *q, double *out)
+/* P'_k += (dr + i di) times row k of Y of the node at qn. */
+static inline void couple(const double *qn, int k, double dr, double di, v4 pr[2],
+                          v4 pi[2])
+{
+    v4 u[2], w[2];
+    row(qn + k * N, u);
+    col(qn + k, w);
+    for (int h = 0; h < 2; h++) {
+        pr[h] += dr * u[h] + di * w[h];
+        pi[h] += di * u[h] - dr * w[h];
+    }
+}
+
+/* x is X = i H_eff^dagger, N x N complex; n, down and up are count x N: each
+ * node's multi-index and its neighbours' ranks along each site, -1 for none. */
+void heom_rhs(long count, const double *x, const int64_t *n, const int64_t *down,
+              const int64_t *up, double a_re, double a_im, double gamma,
+              const double *q, double *out)
 {
     v4 xr[N][2], xi[N][2];
     for (int l = 0; l < N; l++) {
@@ -60,6 +75,7 @@ void heom_rhs(long count, const double *x, const int *indptr, const int *indices
     }
     for (long c = 0; c < count; c++) {
         const double *qc = q + c * NN;
+        const int64_t *nc = n + c * N, *dc = down + c * N, *uc = up + c * N;
         v4 pr[N][2], pi[N][2];
         /* P' = Y X with Y = Q - i Q^T */
         for (int a = 0; a < N; a++) {
@@ -73,20 +89,17 @@ void heom_rhs(long count, const double *x, const int *indptr, const int *indices
             }
             pr[a][0] = sr0; pr[a][1] = sr1; pi[a][0] = si0; pi[a][1] = si1;
         }
-        /* P' += R' Y: row k of Y of a neighbour is row k minus i column k of its Q */
+        /* P' += R' Y: down neighbour, damping, up neighbour */
+        double depth = 0.0;
+        for (int k = 0; k < N; k++)
+            depth += (double)nc[k];
         for (int k = 0; k < N; k++) {
-            long row_ck = c * N + k;
-            for (int j = indptr[row_ck]; j < indptr[row_ck + 1]; j++) {
-                const double *qn = q + (long)(indices[j] / N) * NN;
-                double dr = r[2 * j], di = r[2 * j + 1];
-                v4 u[2], w[2];
-                row(qn + k * N, u);
-                col(qn + k, w);
-                for (int h = 0; h < 2; h++) {
-                    pr[k][h] += dr * u[h] + di * w[h];
-                    pi[k][h] += di * u[h] - dr * w[h];
-                }
-            }
+            if (dc[k] >= 0)
+                couple(q + dc[k] * NN, k, (double)nc[k] * a_re, (double)nc[k] * a_im,
+                       pr[k], pi[k]);
+            couple(qc, k, -0.5 * gamma * depth, 0.0, pr[k], pi[k]);
+            if (uc[k] >= 0)
+                couple(q + uc[k] * NN, k, 0.0, 1.0, pr[k], pi[k]);
         }
         double im[N][8];
         memcpy(im, pi, sizeof im);

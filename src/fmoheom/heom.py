@@ -30,11 +30,10 @@ The right-hand side is one compiled kernel (`_kernel.c`, built and
 loaded by `fmoheom.kernel`). It makes one pass over the nodes; for each
 node it forms Y = Q - i Q^T = (1 - i) zeta in registers, evaluates
 P' = (1 - i) P = Y X + R' Y, and writes the derivative of Q,
-Re P' - (Im P')^T, once. R' is a constant CSR coupling with at most
-three entries per row (down neighbour, damping, up neighbour); its only
-zeros are the top node's seven damping entries, -gamma 0 / 2, kept so a
-term on R''s diagonal needs no new entries. Row k of Y of a neighbour is
-row k and column k of its Q.
+Re P' - (Im P')^T, once. Row k of R' Y is the three terms of P for site
+k, read from the hierarchy's tables: n_k (b + i a), -gamma |n| / 2 and i
+times row k of Y of n - e_k (when n_k > 0), of n, and of n + e_k (when
+within the truncation). Row k of Y of a node is row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45, in a loop that owns every state-sized
@@ -55,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel
-from .hierarchy import enumerate_hierarchy
+from .hierarchy import NO_NEIGHBOR, enumerate_hierarchy
 from .linalg import check_hermitian_matrix
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
@@ -90,6 +89,7 @@ _P = np.array([
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,13 @@ class IntegratorConfig:
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "initial_step_fs", "max_step_fs"):
             check_finite(name, getattr(self, name))
+        if self.rel_tol < _MIN_REL_TOL:
+            raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} (100 eps, "
+                             f"RK45's floor), got {self.rel_tol}")
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed (step-size underflow or tolerance not met)."""
+    """Integration failed: step-size underflow or a non-finite error estimate."""
 
 
 def to_real(zeta):
@@ -167,33 +170,14 @@ class HEOMPropagator:
             h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
         self._x = np.ascontiguousarray(1j * h_eff.conj().T)
 
-        # R' in canonical CSR. Row c * n + k acts on row k of node c's
-        # neighbours, in column order: n_k Theta_k on the down neighbour
-        # (when n_k > 0), half the damping -gamma sum_k n_k, and
-        # Phi_k = i [V_k, .] on the up neighbour (when n + e_k is within
-        # the truncation: the row is the `lower` end of a down edge).
-        # P + P^dagger restores the column parts and the other half. Down
-        # neighbours rank lower and up neighbours higher, so nothing is sorted.
-        n, m = N_SITES, self.count * N_SITES
-        node, site = np.nonzero(space.indices)
-        upper = node * n + site
-        lower = space.neighbors_minus[node, site] * n + site
-        has_down = (space.indices > 0).reshape(-1)
-        width = 1 + has_down
-        width[lower] += 1
-        indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(width, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1], dtype=complex)
-        first, diag, last = indptr[upper], indptr[:-1] + has_down, indptr[lower + 1] - 1
-        indices[first] = lower
-        data[first] = space.indices[node, site] * (1j * (2.0 * lam * kT) + lam * gamma)
-        indices[diag] = np.arange(m)
-        data[diag] = np.repeat(-0.5 * gamma * space.depths, n)
-        indices[last] = upper
-        data[last] = 1j
-        self._indptr, self._indices, self._data = indptr, indices, data
-        self._args = kernel.bind(self.count, self._x, indptr, indices, data)
+        # The kernel reads R' from the hierarchy's tables (module docstring);
+        # the up neighbour of n along k is the node whose down neighbour is n.
+        down = space.neighbors_minus
+        self._up = np.full_like(down, NO_NEIGHBOR)
+        node, site = np.nonzero(down >= 0)
+        self._up[down[node, site], site] = node
+        self._args = kernel.bind(self.count, self._x, space.indices, down, self._up,
+                                 complex(lam * gamma, 2.0 * lam * kT), gamma)
 
     @property
     def count(self):
@@ -272,6 +256,9 @@ class HEOMPropagator:
                 nfev += 6
                 error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
                                   yp, ynp, kp)
+                if not math.isfinite(error_norm):
+                    raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
+                                           "fs (the error estimate was not finite)")
                 if error_norm < 1:
                     factor = (_MAX_FACTOR if error_norm == 0 else
                               min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2))

@@ -41,23 +41,19 @@ def check(name, array, dtype, shape):
     return array.ctypes.data
 
 
-def bind(count, x, indptr, indices, data):
-    """The constant leading arguments of `heom_rhs`: count, then the addresses
-    of X (7 x 7 complex128) and of R' in CSR over count * 7 rows (int32
-    `indptr` and `indices`, complex128 `data`). The caller keeps the arrays
-    alive while the addresses are used."""
-    rows = count * 7
+def bind(count, x, n, down, up, a, gamma):
+    """The constant leading arguments of `heom_rhs`: count, the addresses of
+    X (7 x 7 complex128) and of the int64 count x 7 tables n, down and up
+    (neighbour ranks, -1 for none), then a.real, a.imag and gamma. Row k of
+    R' Y for node c is n_k a, -gamma |n| / 2 and i times row k of Y of
+    down[c, k], of c and of up[c, k]. The caller keeps the arrays alive."""
     x_ptr = check("x", x, np.complex128, (7, 7))
-    indptr_ptr = check("indptr", indptr, np.int32, (rows + 1,))
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise ValueError("indptr must start at 0 and never decrease")
-    nnz = (int(indptr[-1]),)
-    indices_ptr = check("indices", indices, np.int32, nnz)
-    data_ptr = check("data", data, np.complex128, nnz)
-    if indices.size and not 0 <= indices.min() <= indices.max() < rows:
-        raise ValueError(f"indices must lie in 0..{rows - 1}, the columns of "
-                         f"CSR over {rows} rows")
-    return count, x_ptr, indptr_ptr, indices_ptr, data_ptr
+    ptrs = [check(name, table, np.int64, (count, 7))
+            for name, table in (("n", n), ("down", down), ("up", up))]
+    for name, ranks in (("down", down), ("up", up)):
+        if np.any((ranks < -1) | (ranks >= count)):
+            raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
+    return (count, x_ptr, *ptrs, a.real, a.imag, gamma)
 
 
 def cache_dir():
@@ -110,8 +106,8 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    # heom_rhs(count, x, indptr, indices, r, q, out)
-    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, ptr]
+    # heom_rhs(count, x, n, down, up, a_re, a_im, gamma, q, out)
+    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, double, double, double, ptr, ptr]
     lib.heom_rhs.restype = None
     lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, double, ptr, ptr, ptr]
     lib.heom_stage.restype = None

@@ -91,21 +91,26 @@ def test_missing_compiler_names_the_command(tmp_path, monkeypatch):
 
 def test_bind_checks_the_arrays():
     # X = i H_eff^dagger of the model is symmetric, so a transposed X
-    # would go unseen by every RHS test; bind refuses it.
+    # would go unseen by every RHS test; bind refuses it. Each table is
+    # refused before any address reaches the kernel.
     x = np.zeros((7, 7), dtype=complex)
-    indptr = np.arange(8, dtype=np.int32)
-    indices = np.arange(7, dtype=np.int32)
-    data = np.ones(7, dtype=complex)
-    assert kernel.bind(1, x, indptr, indices, data)[0] == 1
+    n = np.array([[0] * 7, [1] + [0] * 6])
+    down = np.array([[-1] * 7, [0] + [-1] * 6])
+    up = np.array([[1] + [-1] * 6, [-1] * 7])
+    args = kernel.bind(2, x, n, down, up, 2.0 + 3.0j, 0.5)
+    assert args[0] == 2 and args[-3:] == (2.0, 3.0, 0.5)
     with pytest.raises(ValueError, match="x must be a C-contiguous complex128"):
-        kernel.bind(1, np.asfortranarray(x + np.eye(7, k=1)), indptr, indices, data)
-    with pytest.raises(ValueError, match="indices must be a C-contiguous int32"):
-        kernel.bind(1, x, indptr, indices.astype(np.int64), data)
-    with pytest.raises(ValueError, match="CSR over 7 rows"):
-        kernel.bind(1, x, indptr, indices + 1, data)
-    with pytest.raises(ValueError, match=r"indptr must be .* of shape \(15,\)"):
-        kernel.bind(2, x, indptr, indices, data)
-    with pytest.raises(ValueError, match="indptr must start at 0"):
-        kernel.bind(1, x, indptr[::-1].copy(), indices, data)
-    with pytest.raises(ValueError, match=r"data must be .* of shape \(7,\)"):
-        kernel.bind(1, x, indptr, indices, data[:6])
+        kernel.bind(2, np.asfortranarray(x + np.eye(7, k=1)), n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match="down must be a C-contiguous int64"):
+        kernel.bind(2, x, n, down.astype(np.int32), up, 1j, 1.0)
+    with pytest.raises(ValueError, match=r"n must be .* of shape \(3, 7\)"):
+        kernel.bind(3, x, n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match=r"up must be .* of shape \(2, 7\)"):
+        kernel.bind(2, x, n, down, up[:, :6].copy(), 1j, 1.0)
+    for rank in (2, -2):
+        bad = up.copy()
+        bad[0, 3] = rank
+        with pytest.raises(ValueError, match=r"up ranks must lie in -1\.\.1"):
+            kernel.bind(2, x, n, down, bad, 1j, 1.0)
+        with pytest.raises(ValueError, match=r"down ranks must lie in -1\.\.1"):
+            kernel.bind(2, x, n, bad, up, 1j, 1.0)
