@@ -23,13 +23,15 @@ numbers from `SystemParams` (rad/fs, hbar = 1, beta = 1 / kT):
                                           Theta_k = i a [V_k, .] + b {V_k, .}.
 
 H_eff = H_e - i r sum_s |s><s|: the trapping -r sum_s {|s><s|, .} over
-the trap sites s is its anti-Hermitian part. The site shift lambda of
-H_e + lambda I is left out: with one lambda for every site it is a real
-multiple of the identity, which cancels in P + P^dagger.
+the trap sites s is its anti-Hermitian part, so X = i H_e^T - diag(r),
+with r the trap rate on the trap sites and 0 elsewhere. The site shift
+lambda of H_e + lambda I is left out: with one lambda for every site it
+is a real multiple of the identity, which cancels in P + P^dagger.
 The right-hand side is one compiled kernel (`_kernel.c`, built and
 loaded by `fmoheom.kernel`). It makes one pass over the nodes; for each
 node it forms Y = Q - i Q^T = (1 - i) zeta in registers, evaluates
-P' = (1 - i) P = Y X + R' Y, and writes the derivative of Q,
+P' = (1 - i) P = Y X + R' Y, with X read as the real matrix H_e^T and
+the diagonal r, and writes the derivative of Q,
 Re P' - (Im P')^T, once. Row k of R' Y is the three terms of P for site
 k, read from the hierarchy's tables: n_k (b + i a), -gamma |n| / 2 and i
 times row k of Y of n - e_k (when n_k > 0), of n, and of n + e_k (when
@@ -37,16 +39,22 @@ within the truncation). Row k of Y of a node is row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45, in a loop that owns every state-sized
-buffer. The stage sums y + h sum_j a_sj k_j and the RMS error norm run
-in the same compiled unit; step control, FSAL, dense output and sampling
-stay here. The error norm is taken over the moduli |zeta_ij| =
-sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the complex
+buffer: eight of them, y, y_new and six for the seven stages. The stage
+sums y + h sum_j a_sj k_j and the RMS error norm run in the same
+compiled unit and read no stage whose coefficient is zero. The last
+stage sum also writes the error estimate of stages 0..5 over k_1, and
+k_6 = f(y_new) overwrites k_2; the norm adds E_6 k_6. FSAL swaps the
+roles of the k_0 and k_2 buffers instead of copying k_6 into k_0. Step
+control, FSAL, dense output and sampling stay here. The error norm is
+taken over the moduli |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which
+equals RK45's norm on the complex
 state, so the step sequence is that of RK45 on zeta. The loop ends at
 exactly t_end, the last time of `SystemParams.output_times()`; the dense
 output of each step, evaluated for the physical block only, is sampled
 onto that grid.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -165,10 +173,10 @@ class HEOMPropagator:
 
         # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
         # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
-        h_eff = (params.hamiltonian_cm * CM_TO_RADFS).astype(complex)
-        for s in params.trap_sites:
-            h_eff[s - 1, s - 1] -= 1j * params.trap_rate_inv_fs
-        self._x = np.ascontiguousarray(1j * h_eff.conj().T)
+        # The kernel reads X = i H_eff^dagger = i H^T - diag(r) as H^T and r.
+        self._h = np.ascontiguousarray((params.hamiltonian_cm * CM_TO_RADFS).T)
+        self._r = np.zeros(N_SITES)
+        self._r[np.subtract(params.trap_sites, 1)] = params.trap_rate_inv_fs
 
         # The kernel reads R' from the hierarchy's tables (module docstring);
         # the up neighbour of n along k is the node whose down neighbour is n.
@@ -176,8 +184,8 @@ class HEOMPropagator:
         self._up = np.full_like(down, NO_NEIGHBOR)
         node, site = np.nonzero(down >= 0)
         self._up[down[node, site], site] = node
-        self._args = kernel.bind(self.count, self._x, space.indices, down, self._up,
-                                 complex(lam * gamma, 2.0 * lam * kT), gamma)
+        self._args = kernel.bind(self.count, self._h, self._r, space.indices, down,
+                                 self._up, complex(lam * gamma, 2.0 * lam * kT), gamma)
 
     @property
     def count(self):
@@ -227,16 +235,25 @@ class HEOMPropagator:
         samples[0] = y[0]
 
         cfg = self.config
-        k = np.empty((7,) + y.shape)
+        # Eight state-sized buffers: y, y_new and six for the seven stages.
+        # k_6 = f(y_new) overwrites k_2, the last read of which is the
+        # stage-6 sum; that sum also writes the error estimate of stages
+        # 0..5 over k_1, whose coefficients there are zero. FSAL swaps the
+        # roles of k_0 and k_2, so a rejected attempt still finds k_0 = f(y).
+        # The dense output reads node 0 of each stage, kept in `phys`.
+        buffers = np.empty((6,) + y.shape)
+        k = [*buffers, buffers[2]]
         y_new = np.empty_like(y)
-        # The compiled stage sum and error norm take raw pointers to these
-        # buffers, which live until the loop ends; y and y_new swap after
-        # each step.
+        phys = np.empty((7, N_SITES, N_SITES))
+        # The compiled stage sum and error norm take raw addresses of these
+        # buffers, which live until the loop ends.
         stage, norm = kernel.LIB.heom_stage, kernel.LIB.heom_error_norm
-        kp, yp, ynp = k.ctypes.data, y.ctypes.data, y_new.ctypes.data
-        tableau, e = _A.ctypes.data, _E.ctypes.data
+        kp = (ctypes.c_void_p * 7)(*(ks.ctypes.data for ks in k))
+        yp, ynp = y.ctypes.data, y_new.ctypes.data
+        tableau, e, e6 = _A.ctypes.data, _E.ctypes.data, _E[6]
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=k[0])
+        phys[0] = k[0][0]
         nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
         next_i = 1
         while t < t_end:
@@ -251,11 +268,12 @@ class HEOMPropagator:
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 for s in range(1, 7):
-                    stage(self.count, s, tableau, h, yp, kp, ynp)
+                    stage(self.count, s, tableau, e, h, yp, kp, ynp, kp[1])
                     self.rhs(t + _C[s] * h, y_new, out=k[s])
+                    phys[s] = k[s][0]
                 nfev += 6
-                error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
-                                  yp, ynp, kp)
+                error_norm = norm(self.count, e6, h, cfg.abs_tol, cfg.rel_tol,
+                                  yp, ynp, kp[1], kp[6])
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -274,13 +292,15 @@ class HEOMPropagator:
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
                 if poly is None:
                     # RK45's dense output restricted to the physical block.
-                    poly = k[:, 0].reshape(7, -1).T @ _P
+                    poly = phys.reshape(7, -1).T @ _P
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
                 samples[next_i] = (h * (poly @ p)).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
             t, y, y_new, yp, ynp = t_new, y_new, y, ynp, yp
-            k[0] = k[6]
+            k[0], k[2], k[6] = k[6], k[0], k[0]
+            kp[0], kp[2], kp[6] = kp[6], kp[0], kp[0]
+            phys[0] = phys[6]
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),

@@ -41,19 +41,20 @@ def check(name, array, dtype, shape):
     return array.ctypes.data
 
 
-def bind(count, x, n, down, up, a, gamma):
+def bind(count, h, r, n, down, up, a, gamma):
     """The constant leading arguments of `heom_rhs`: count, the addresses of
-    X (7 x 7 complex128) and of the int64 count x 7 tables n, down and up
+    h = Im X (7 x 7 float64) and of the trap rates r (7 float64), so that
+    X = i h - diag(r), and of the int64 count x 7 tables n, down and up
     (neighbour ranks, -1 for none), then a.real, a.imag and gamma. Row k of
     R' Y for node c is n_k a, -gamma |n| / 2 and i times row k of Y of
     down[c, k], of c and of up[c, k]. The caller keeps the arrays alive."""
-    x_ptr = check("x", x, np.complex128, (7, 7))
-    ptrs = [check(name, table, np.int64, (count, 7))
-            for name, table in (("n", n), ("down", down), ("up", up))]
+    ptrs = [check("h", h, np.float64, (7, 7)), check("r", r, np.float64, (7,))]
+    ptrs += [check(name, table, np.int64, (count, 7))
+             for name, table in (("n", n), ("down", down), ("up", up))]
     for name, ranks in (("down", down), ("up", up)):
         if np.any((ranks < -1) | (ranks >= count)):
             raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
-    return (count, x_ptr, *ptrs, a.real, a.imag, gamma)
+    return (count, *ptrs, a.real, a.imag, gamma)
 
 
 def cache_dir():
@@ -106,12 +107,17 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    # heom_rhs(count, x, n, down, up, a_re, a_im, gamma, q, out)
-    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, double, double, double, ptr, ptr]
+    # heom_rhs(count, h, r, n, down, up, a_re, a_im, gamma, q, out)
+    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
+                             ptr, ptr]
     lib.heom_rhs.restype = None
-    lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, double, ptr, ptr, ptr]
+    # heom_stage(count, s, a, e, h, y, k, y_new, err), k an array of 7 addresses
+    lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, ptr, double, ptr,
+                               ctypes.POINTER(ptr), ptr, ptr]
     lib.heom_stage.restype = None
-    lib.heom_error_norm.argtypes = [long_, ptr, double, double, double, ptr, ptr, ptr]
+    # heom_error_norm(count, e6, h, atol, rtol, y, y_new, err, k6)
+    lib.heom_error_norm.argtypes = [long_, double, double, double, double, ptr, ptr,
+                                    ptr, ptr]
     lib.heom_error_norm.restype = double
     return lib
 

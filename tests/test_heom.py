@@ -410,6 +410,19 @@ class TestIntegration:
         sizes = [tr.size for tr in snapshot.traces]
         assert max(sizes) < state_bytes
 
+    def test_run_holds_eight_states(self):
+        # y, y_new and six buffers for the seven stages: k_6 reuses k_2's
+        # buffer, the error estimate k_1's, and FSAL swaps instead of copying.
+        prop = HEOMPropagator(SystemParams(truncation_N=6, t_end_fs=5.0))
+        state_bytes = np.zeros(prop.state_shape).nbytes
+        tracemalloc.start()
+        try:
+            prop.run(localized_state(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * state_bytes
+
     def test_non_hermitian_initial_state_rejected(self, params):
         prop = HEOMPropagator(params)
         calls = counting(prop)

@@ -1,6 +1,7 @@
 """The compiled kernel: its build cache, and its stage sum and error norm
 against the numpy formulas they replace."""
 
+import ctypes
 import math
 import os
 import subprocess
@@ -34,13 +35,23 @@ def numpy_error_norm(y, y_new, k, h, atol, rtol):
 @pytest.mark.parametrize("count", [1, 36, 330])
 @pytest.mark.parametrize("h,atol,rtol", [(0.01, 1e-10, 1e-8), (3.0, 1e-13, 1e-11)])
 def test_error_norm_matches_numpy(count, h, atol, rtol):
+    # The kernel takes stages 0..5 summed (as heom_stage writes them) and
+    # stage 6; numpy sums all seven.
     rng = np.random.default_rng(count)
     y, y_new = random_states(rng, count, 2)
     k = random_states(rng, count, 7)
-    got = kernel.LIB.heom_error_norm(count, _E.ctypes.data, h, atol, rtol,
-                                     y.ctypes.data, y_new.ctypes.data, k.ctypes.data)
+    err = np.tensordot(_E[:6], k[:6], axes=1)
+    got = kernel.LIB.heom_error_norm(count, _E[6], h, atol, rtol, y.ctypes.data,
+                                     y_new.ctypes.data, err.ctypes.data, k[6].ctypes.data)
     assert got == pytest.approx(numpy_error_norm(y, y_new, k, h, atol, rtol),
                                 rel=1e-14, abs=0)
+
+
+def stage(count, s, h, y, k, out, err):
+    """heom_stage with the seven stages k passed as an array of addresses."""
+    k_ptrs = (ctypes.c_void_p * 7)(*(ks.ctypes.data for ks in k))
+    kernel.LIB.heom_stage(count, s, _A.ctypes.data, _E.ctypes.data, h, y.ctypes.data,
+                          k_ptrs, out.ctypes.data, err.ctypes.data)
 
 
 @pytest.mark.parametrize("count", [1, 330])
@@ -49,14 +60,33 @@ def test_stage_matches_numpy(count):
     rng = np.random.default_rng(count)
     y = random_states(rng, count)[0]
     k = random_states(rng, count, 7)
-    out = np.empty_like(y)
+    out, err = np.empty_like(y), np.full_like(y, 7.0)
     h = 0.37
     for s in range(1, 7):
-        kernel.LIB.heom_stage(count, s, _A.ctypes.data, h, y.ctypes.data,
-                              k.ctypes.data, out.ctypes.data)
+        stage(count, s, h, y, k, out, err)
         terms = np.abs(y) + h * np.tensordot(np.abs(_A[s, :s]), np.abs(k[:s]), axes=1)
         expected = y + h * np.tensordot(_A[s, :s], k[:s], axes=1)
         assert np.all(np.abs(out - expected) <= 1e-15 * terms)
+        if s < 6:
+            assert np.all(err == 7.0)  # written at the last stage only
+    terms = np.tensordot(np.abs(_E[:6]), np.abs(k[:6]), axes=1)
+    assert np.all(np.abs(err - np.tensordot(_E[:6], k[:6], axes=1)) <= 1e-15 * terms)
+
+
+def test_last_stage_does_not_read_k1():
+    # a_61 = E_1 = 0, so run() writes the error estimate over k_1's buffer
+    # during the sum that would otherwise read it.
+    count = 36
+    rng = np.random.default_rng(1)
+    y = random_states(rng, count)[0]
+    k = [*random_states(rng, count, 7)]
+    k[1] = np.full_like(y, np.nan)
+    out, err = np.empty_like(y), np.empty_like(y)
+    stage(count, 6, 0.37, y, k, out, err)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(err))
+    stage(count, 6, 0.37, y, k, out, k[1])
+    assert np.all(np.isfinite(out))
+    np.testing.assert_array_equal(k[1], err)
 
 
 def _import_fmoheom(cache):
@@ -90,27 +120,35 @@ def test_missing_compiler_names_the_command(tmp_path, monkeypatch):
 
 
 def test_bind_checks_the_arrays():
-    # X = i H_eff^dagger of the model is symmetric, so a transposed X
-    # would go unseen by every RHS test; bind refuses it. Each table is
-    # refused before any address reaches the kernel.
-    x = np.zeros((7, 7), dtype=complex)
+    # Im X = H^T of the model is symmetric, so a transposed h would go
+    # unseen by every RHS test; bind refuses it. Each array is refused
+    # before any address reaches the kernel.
+    h, r = np.zeros((7, 7)), np.zeros(7)
     n = np.array([[0] * 7, [1] + [0] * 6])
     down = np.array([[-1] * 7, [0] + [-1] * 6])
     up = np.array([[1] + [-1] * 6, [-1] * 7])
-    args = kernel.bind(2, x, n, down, up, 2.0 + 3.0j, 0.5)
+    args = kernel.bind(2, h, r, n, down, up, 2.0 + 3.0j, 0.5)
     assert args[0] == 2 and args[-3:] == (2.0, 3.0, 0.5)
-    with pytest.raises(ValueError, match="x must be a C-contiguous complex128"):
-        kernel.bind(2, np.asfortranarray(x + np.eye(7, k=1)), n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
+        kernel.bind(2, np.asfortranarray(h + np.eye(7, k=1)), r, n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
+        kernel.bind(2, h.astype(complex), r, n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match=r"h must be .* of shape \(7, 7\)"):
+        kernel.bind(2, h[:6].copy(), r, n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match="r must be a C-contiguous float64"):
+        kernel.bind(2, h, r.astype(np.float32), n, down, up, 1j, 1.0)
+    with pytest.raises(ValueError, match=r"r must be .* of shape \(7,\)"):
+        kernel.bind(2, h, np.zeros((7, 1)), n, down, up, 1j, 1.0)
     with pytest.raises(ValueError, match="down must be a C-contiguous int64"):
-        kernel.bind(2, x, n, down.astype(np.int32), up, 1j, 1.0)
+        kernel.bind(2, h, r, n, down.astype(np.int32), up, 1j, 1.0)
     with pytest.raises(ValueError, match=r"n must be .* of shape \(3, 7\)"):
-        kernel.bind(3, x, n, down, up, 1j, 1.0)
+        kernel.bind(3, h, r, n, down, up, 1j, 1.0)
     with pytest.raises(ValueError, match=r"up must be .* of shape \(2, 7\)"):
-        kernel.bind(2, x, n, down, up[:, :6].copy(), 1j, 1.0)
+        kernel.bind(2, h, r, n, down, up[:, :6].copy(), 1j, 1.0)
     for rank in (2, -2):
         bad = up.copy()
         bad[0, 3] = rank
         with pytest.raises(ValueError, match=r"up ranks must lie in -1\.\.1"):
-            kernel.bind(2, x, n, down, bad, 1j, 1.0)
+            kernel.bind(2, h, r, n, down, bad, 1j, 1.0)
         with pytest.raises(ValueError, match=r"down ranks must lie in -1\.\.1"):
-            kernel.bind(2, x, n, bad, up, 1j, 1.0)
+            kernel.bind(2, h, r, n, bad, up, 1j, 1.0)
