@@ -10,11 +10,10 @@
  * row of 7 doubles is held as one 8-double vector with a zero eighth lane,
  * so every product is a broadcast times a vector.
  *
- * heom_stage forms a Dormand-Prince stage state, and with the last stage
- * also the error estimate of stages 0..5; heom_error_norm adds stage 6 to
- * that estimate and takes its RMS norm. Each function takes the node count
- * first. Every array is C-contiguous and checked by the caller; nothing
- * is allocated here.
+ * heom_stage forms a Dormand-Prince stage state and heom_error_norm the RMS
+ * norm of the error estimate, both from the addresses of the seven stages.
+ * Each function takes the node count first. Every array is C-contiguous
+ * and checked by the caller; nothing is allocated here.
  */
 #include <math.h>
 #include <stdint.h>
@@ -99,67 +98,57 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
 }
 
 /* y_new = y + h sum_{j < s} a[s][j] k[j] over the count * NN doubles of a
- * state, with a the Dormand-Prince tableau and k the stage addresses. At
- * the last stage, s = STAGES - 1, it also writes err = sum_{j < s} e[j] k[j],
- * the error estimate without stage 6. A stage whose coefficients are zero
- * is not read, so err may be the buffer of such a stage (k_1). */
-void heom_stage(long count, int s, const double a[][STAGES - 1], const double *e,
-                double h, const double *y, const double *const k[STAGES],
-                double *y_new, double *err)
+ * state, with a the Dormand-Prince tableau and k the stage addresses. A
+ * stage whose coefficient is zero is not read. */
+void heom_stage(long count, int s, const double a[][STAGES - 1], double h,
+                const double *y, const double *const k[STAGES], double *y_new)
 {
     long m = count * NN;
-    int last = s == STAGES - 1;
     for (long i0 = 0; i0 < m; i0 += BLOCK) {
         long len = m - i0 < BLOCK ? m - i0 : BLOCK;
-        double acc[BLOCK], eacc[BLOCK];
+        double acc[BLOCK];
         for (long i = 0; i < len; i++)
             acc[i] = a[s][0] * k[0][i0 + i];
-        if (last)
-            for (long i = 0; i < len; i++)
-                eacc[i] = e[0] * k[0][i0 + i];
         for (int j = 1; j < s; j++) {
             const double *kj = k[j] + i0;
-            double aj = a[s][j], ej = last ? e[j] : 0.0;
-            if (aj == 0.0 && ej == 0.0)
-                continue;
-            if (last)
-                for (long i = 0; i < len; i++) {
-                    acc[i] += aj * kj[i];
-                    eacc[i] += ej * kj[i];
-                }
-            else
+            double aj = a[s][j];
+            if (aj != 0.0)
                 for (long i = 0; i < len; i++)
                     acc[i] += aj * kj[i];
         }
         for (long i = 0; i < len; i++)
             y_new[i0 + i] = y[i0 + i] + h * acc[i];
-        if (last)
-            memcpy(err + i0, eacc, len * sizeof(double));
     }
 }
 
-/* RMS over every entry of h (err + e6 k6) / scale, where err is the error
- * estimate of stages 0..5 from heom_stage, k6 the last stage, scale = atol +
- * rtol max(|zeta_ij|, |zeta_new_ij|) and |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2)
- * / 2) is the modulus of the complex entry that Q stores. */
-double heom_error_norm(long count, double e6, double h, double atol, double rtol,
-                       const double *y, const double *y_new, const double *err,
-                       const double *k6)
+/* RMS over every entry of h sum_j e[j] k[j] / scale, the error estimate of
+ * the seven stages at addresses k summed node by node in stage order and
+ * without the stages whose weight is zero; scale = atol + rtol
+ * max(|zeta_ij|, |zeta_new_ij|) and |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2)
+ * is the modulus of the complex entry that Q stores. */
+double heom_error_norm(long count, const double *e, double h, double atol,
+                       double rtol, const double *y, const double *y_new,
+                       const double *const k[STAGES])
 {
     long m = count * NN;
     double factor = rtol / sqrt(2.0), sum = 0.0;
     for (long c = 0; c < count; c++) {
         const double *yc = y + c * NN, *nc = y_new + c * NN;
-        const double *ec = err + c * NN, *kc = k6 + c * NN;
-        double scale[NN];
+        double scale[NN], err[NN];
         for (int a = 0; a < N; a++)
             for (int b = 0; b < N; b++) {
                 double u = yc[a * N + b], v = yc[b * N + a];
                 double s = nc[a * N + b], t = nc[b * N + a];
                 scale[a * N + b] = sqrt(fmax(u * u + v * v, s * s + t * t));
             }
+        for (int i = 0; i < NN; i++)
+            err[i] = e[0] * k[0][c * NN + i];
+        for (int j = 1; j < STAGES; j++)
+            if (e[j] != 0.0)
+                for (int i = 0; i < NN; i++)
+                    err[i] += e[j] * k[j][c * NN + i];
         for (int i = 0; i < NN; i++) {
-            double r = (ec[i] + e6 * kc[i]) * h / (scale[i] * factor + atol);
+            double r = err[i] * h / (scale[i] * factor + atol);
             sum += r * r;
         }
     }

@@ -32,8 +32,9 @@ def _parse_scalar(text):
 
 
 def parse_config_text(text):
-    """Parse `key = value` lines into a flat dict of scalars/strings."""
-    out = {}
+    """Parse `key = value` lines into a flat dict of scalars/strings; a key
+    set on two lines is refused."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -41,7 +42,11 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = _parse_scalar(value)
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{key} is set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        out[key] = _parse_scalar(value)
     return out
 
 

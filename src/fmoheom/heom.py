@@ -40,18 +40,18 @@ within the truncation). Row k of Y of a node is row k and column k of its Q.
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45, in a loop that owns every state-sized
 buffer: eight of them, y, y_new and six for the seven stages. The stage
-sums y + h sum_j a_sj k_j and the RMS error norm run in the same
-compiled unit and read no stage whose coefficient is zero. The last
-stage sum also writes the error estimate of stages 0..5 over k_1, and
-k_6 = f(y_new) overwrites k_2; the norm adds E_6 k_6. FSAL swaps the
-roles of the k_0 and k_2 buffers instead of copying k_6 into k_0. Step
-control, FSAL, dense output and sampling stay here. The error norm is
-taken over the moduli |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which
-equals RK45's norm on the complex
-state, so the step sequence is that of RK45 on zeta. The loop ends at
-exactly t_end, the last time of `SystemParams.output_times()`; the dense
-output of each step, evaluated for the physical block only, is sampled
-onto that grid.
+sums y + h sum_j a_sj k_j and the RMS norm of the error estimate
+h sum_j E_j k_j run in the same compiled unit and read no stage whose
+coefficient is zero. From the stage-6 sum on, that includes k_1 (a_61 =
+E_1 = 0, and row 1 of the dense output is zero), so k_6 = f(y_new) is
+written into k_1's buffer and FSAL swaps the roles of the k_0 and k_1
+buffers instead of copying k_6 into k_0. Step control, FSAL, dense
+output and sampling stay here. The error norm is taken over the moduli
+|zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
+complex state, so the step sequence is that of RK45 on zeta. The loop
+ends at exactly t_end, the last time of `SystemParams.output_times()`;
+the dense output of each step, evaluated for the physical block only,
+is sampled onto that grid.
 """
 
 import ctypes
@@ -208,13 +208,16 @@ class HEOMPropagator:
         """Time derivative of the real hierarchy state Q, shape (count, n, n).
 
         Both `q` and `out` must be C-contiguous float64 arrays of that
-        shape that share no memory; the derivative is written to `out`
-        (allocated when not given) and returned.
+        shape that share no memory, and `out` must be writeable; the
+        derivative is written to `out` (allocated when not given) and
+        returned.
         """
         if out is None:
             out = np.empty(self.state_shape)
         q_ptr = kernel.check("hierarchy state", q, np.float64, self.state_shape)
         out_ptr = kernel.check("derivative", out, np.float64, self.state_shape)
+        if not out.flags.writeable:
+            raise ValueError("the derivative must be writeable")
         if np.shares_memory(q, out):
             raise ValueError("the derivative must not overlap the hierarchy state")
         kernel.LIB.heom_rhs(*self._args, q_ptr, out_ptr)
@@ -236,13 +239,12 @@ class HEOMPropagator:
 
         cfg = self.config
         # Eight state-sized buffers: y, y_new and six for the seven stages.
-        # k_6 = f(y_new) overwrites k_2, the last read of which is the
-        # stage-6 sum; that sum also writes the error estimate of stages
-        # 0..5 over k_1, whose coefficients there are zero. FSAL swaps the
-        # roles of k_0 and k_2, so a rejected attempt still finds k_0 = f(y).
-        # The dense output reads node 0 of each stage, kept in `phys`.
+        # k_6 = f(y_new) is written into k_1's buffer: nothing reads k_1
+        # after the stage-5 sum. FSAL swaps the roles of k_0 and k_1, so a
+        # rejected attempt still finds k_0 = f(y). The dense output of a
+        # step with samples reads node 0 of each stage into `phys`.
         buffers = np.empty((6,) + y.shape)
-        k = [*buffers, buffers[2]]
+        k = [*buffers, buffers[1]]
         y_new = np.empty_like(y)
         phys = np.empty((7, N_SITES, N_SITES))
         # The compiled stage sum and error norm take raw addresses of these
@@ -250,10 +252,9 @@ class HEOMPropagator:
         stage, norm = kernel.LIB.heom_stage, kernel.LIB.heom_error_norm
         kp = (ctypes.c_void_p * 7)(*(ks.ctypes.data for ks in k))
         yp, ynp = y.ctypes.data, y_new.ctypes.data
-        tableau, e, e6 = _A.ctypes.data, _E.ctypes.data, _E[6]
+        tableau, e = _A.ctypes.data, _E.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=k[0])
-        phys[0] = k[0][0]
         nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
         next_i = 1
         while t < t_end:
@@ -268,12 +269,11 @@ class HEOMPropagator:
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 for s in range(1, 7):
-                    stage(self.count, s, tableau, e, h, yp, kp, ynp, kp[1])
+                    stage(self.count, s, tableau, h, yp, kp, ynp)
                     self.rhs(t + _C[s] * h, y_new, out=k[s])
-                    phys[s] = k[s][0]
                 nfev += 6
-                error_norm = norm(self.count, e6, h, cfg.abs_tol, cfg.rel_tol,
-                                  yp, ynp, kp[1], kp[6])
+                error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
+                                  yp, ynp, kp)
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -291,16 +291,17 @@ class HEOMPropagator:
             poly = None
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
                 if poly is None:
-                    # RK45's dense output restricted to the physical block.
+                    # RK45's dense output restricted to the physical block;
+                    # slot 1 holds k_6 again, which the zero row 1 of _P drops.
+                    np.stack([ks[0] for ks in k], out=phys)
                     poly = phys.reshape(7, -1).T @ _P
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
                 samples[next_i] = (h * (poly @ p)).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
             t, y, y_new, yp, ynp = t_new, y_new, y, ynp, yp
-            k[0], k[2], k[6] = k[6], k[0], k[0]
-            kp[0], kp[2], kp[6] = kp[6], kp[0], kp[0]
-            phys[0] = phys[6]
+            k[0], k[1], k[6] = k[6], k[0], k[0]
+            kp[0], kp[1], kp[6] = kp[6], kp[0], kp[0]
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),

@@ -107,17 +107,17 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    stages = ctypes.POINTER(ptr)  # the addresses of the 7 stages
     # heom_rhs(count, h, r, n, down, up, a_re, a_im, gamma, q, out)
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_stage(count, s, a, e, h, y, k, y_new, err), k an array of 7 addresses
-    lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, ptr, double, ptr,
-                               ctypes.POINTER(ptr), ptr, ptr]
+    # heom_stage(count, s, a, h, y, k, y_new)
+    lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, double, ptr, stages, ptr]
     lib.heom_stage.restype = None
-    # heom_error_norm(count, e6, h, atol, rtol, y, y_new, err, k6)
-    lib.heom_error_norm.argtypes = [long_, double, double, double, double, ptr, ptr,
-                                    ptr, ptr]
+    # heom_error_norm(count, e, h, atol, rtol, y, y_new, k)
+    lib.heom_error_norm.argtypes = [long_, ptr, double, double, double, ptr, ptr,
+                                    stages]
     lib.heom_error_norm.restype = double
     return lib
 

@@ -161,6 +161,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not a key value line")
 
+    def test_key_set_twice_in_a_file_rejected(self, tmp_path, capsys):
+        # A file is not last-wins: a key on two lines fails, naming both,
+        # before any output exists. --set still overrides a file key.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("system.truncation_N = 2\n# again\n"
+                            "system.truncation_N = 3\n")
+        with pytest.raises(ConfigError, match="system.truncation_N is set twice, "
+                                              "on lines 1 and 3"):
+            load_run_config(cfg_file)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out),
+                     *FAST]) == 1
+        assert "lines 1 and 3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_localized_run(self, tmp_path):

@@ -244,6 +244,20 @@ class TestRHS:
             with pytest.raises(ValueError, match="must not overlap"):
                 prop.rhs(0.0, q, out=out)
 
+    def test_rejects_read_only_derivative(self, params):
+        # A read-only state is read as it is; a read-only output is refused
+        # before the kernel writes to it.
+        prop = HEOMPropagator(params)
+        q = to_real(random_hierarchy(np.random.default_rng(12), prop.count))
+        q.flags.writeable = False
+        out = np.zeros(prop.state_shape)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="derivative must be writeable"):
+            prop.rhs(0.0, q, out=out)
+        assert not out.any()
+        out.flags.writeable = True
+        np.testing.assert_array_equal(prop.rhs(0.0, q, out=out), prop.rhs(0.0, q.copy()))
+
     @pytest.mark.parametrize("which", ["state", "derivative"])
     @pytest.mark.parametrize("bad", [
         lambda shape: np.zeros(shape, dtype=np.float32),
@@ -411,8 +425,8 @@ class TestIntegration:
         assert max(sizes) < state_bytes
 
     def test_run_holds_eight_states(self):
-        # y, y_new and six buffers for the seven stages: k_6 reuses k_2's
-        # buffer, the error estimate k_1's, and FSAL swaps instead of copying.
+        # y, y_new and six buffers for the seven stages: k_6 reuses k_1's
+        # buffer, and FSAL swaps instead of copying.
         prop = HEOMPropagator(SystemParams(truncation_N=6, t_end_fs=5.0))
         state_bytes = np.zeros(prop.state_shape).nbytes
         tracemalloc.start()
