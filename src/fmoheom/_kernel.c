@@ -10,8 +10,12 @@
  * row of 7 doubles is held as one 8-double vector with a zero eighth lane,
  * so every product is a broadcast times a vector.
  *
- * heom_stage forms a Dormand-Prince stage state and heom_error_norm the RMS
- * norm of the error estimate, both from the addresses of the seven stages.
+ * The other two functions finish a Dormand-Prince step written as a
+ * polynomial in h L, from the chain w_i = L^i y, i = 1..7, that the caller
+ * has formed with heom_rhs: heom_norm takes the RMS norm of the error
+ * estimate, forming y_new node by node for its scale, and heom_update
+ * writes y_new and f(y_new) once the step is accepted. Both take the
+ * addresses of w_1..w_7 as one array, because the buffers change roles.
  * Each function takes the node count first. Every array is C-contiguous
  * and checked by the caller; nothing is allocated here.
  */
@@ -21,7 +25,7 @@
 
 #define N 7    /* sites: a node is N x N */
 #define NN (N * N)
-#define STAGES 7
+#define STEPS 7  /* w_1..w_7 of a Dormand-Prince step */
 #define BLOCK 512
 
 typedef double v8 __attribute__((vector_size(64)));
@@ -97,60 +101,85 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
     }
 }
 
-/* y_new = y + h sum_{j < s} a[s][j] k[j] over the count * NN doubles of a
- * state, with a the Dormand-Prince tableau and k the stage addresses. A
- * stage whose coefficient is zero is not read. */
-void heom_stage(long count, int s, const double a[][STAGES - 1], double h,
-                const double *y, const double *const k[STAGES], double *y_new)
+/* out[i] = c[i] h^(i+1), i < m: the weights of h^i w_i. */
+static void scale_by_powers(int m, const double *c, double h, double *out)
 {
-    long m = count * NN;
-    for (long i0 = 0; i0 < m; i0 += BLOCK) {
-        long len = m - i0 < BLOCK ? m - i0 : BLOCK;
-        double acc[BLOCK];
-        for (long i = 0; i < len; i++)
-            acc[i] = a[s][0] * k[0][i0 + i];
-        for (int j = 1; j < s; j++) {
-            const double *kj = k[j] + i0;
-            double aj = a[s][j];
-            if (aj != 0.0)
-                for (long i = 0; i < len; i++)
-                    acc[i] += aj * kj[i];
-        }
-        for (long i = 0; i < len; i++)
-            y_new[i0 + i] = y[i0 + i] + h * acc[i];
+    double hi = 1.0;
+    for (int i = 0; i < m; i++) {
+        hi *= h;
+        out[i] = c[i] * hi;
     }
 }
 
-/* RMS over every entry of h sum_j e[j] k[j] / scale, the error estimate of
- * the seven stages at addresses k summed node by node in stage order and
- * without the stages whose weight is zero; scale = atol + rtol
- * max(|zeta_ij|, |zeta_new_ij|) and |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2)
- * is the modulus of the complex entry that Q stores. */
-double heom_error_norm(long count, const double *e, double h, double atol,
-                       double rtol, const double *y, const double *y_new,
-                       const double *const k[STAGES])
+/* RMS over every entry of err / scale, with the error estimate err =
+ * sum_{i=1..7} e_i h^i w_i and scale = atol + rtol max(|zeta_ij|,
+ * |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the
+ * modulus of the complex entry that Q stores. y_new = y + sum_{i=1..6}
+ * c_i h^i w_i is formed node by node for the scale and not stored. w holds
+ * the addresses of w_1..w_7, c the six and e the seven coefficients. */
+double heom_norm(long count, const double *c, const double *e, double h,
+                 double atol, double rtol, const double *y,
+                 const double *const w[STEPS])
 {
-    long m = count * NN;
-    double factor = rtol / sqrt(2.0), sum = 0.0;
-    for (long c = 0; c < count; c++) {
-        const double *yc = y + c * NN, *nc = y_new + c * NN;
-        double scale[NN], err[NN];
+    double ch[STEPS - 1], eh[STEPS], sum[NN] = {0.0}, total = 0.0;
+    double factor = rtol / sqrt(2.0);
+    scale_by_powers(STEPS - 1, c, h, ch);
+    scale_by_powers(STEPS, e, h, eh);
+    for (long node = 0; node < count; node++) {
+        long o = node * NN;
+        double yn[NN], err[NN];
+        for (int i = 0; i < NN; i++) {
+            yn[i] = y[o + i];
+            err[i] = eh[STEPS - 1] * w[STEPS - 1][o + i];
+        }
+        for (int j = 0; j < STEPS - 1; j++) {
+            const double *wj = w[j] + o;
+            for (int i = 0; i < NN; i++) {
+                yn[i] += ch[j] * wj[i];
+                err[i] += eh[j] * wj[i];
+            }
+        }
+        const double *yc = y + o;
         for (int a = 0; a < N; a++)
             for (int b = 0; b < N; b++) {
                 double u = yc[a * N + b], v = yc[b * N + a];
-                double s = nc[a * N + b], t = nc[b * N + a];
-                scale[a * N + b] = sqrt(fmax(u * u + v * v, s * s + t * t));
+                double s = yn[a * N + b], t = yn[b * N + a];
+                double r = err[a * N + b] /
+                           (sqrt(fmax(u * u + v * v, s * s + t * t)) * factor + atol);
+                sum[a * N + b] += r * r;
             }
-        for (int i = 0; i < NN; i++)
-            err[i] = e[0] * k[0][c * NN + i];
-        for (int j = 1; j < STAGES; j++)
-            if (e[j] != 0.0)
-                for (int i = 0; i < NN; i++)
-                    err[i] += e[j] * k[j][c * NN + i];
-        for (int i = 0; i < NN; i++) {
-            double r = err[i] * h / (scale[i] * factor + atol);
-            sum += r * r;
+    }
+    for (int i = 0; i < NN; i++)
+        total += sum[i];
+    return sqrt(total / (double)(count * NN));
+}
+
+/* The accepted step: y_new = y + sum_{i=1..6} c_i h^i w_i and, over w_1,
+ * f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1}. y_new may be w_7's
+ * buffer: each block is read from every state before it is written. */
+void heom_update(long count, const double *c, double h, const double *y,
+                 double *const w[STEPS], double *y_new)
+{
+    double ch[STEPS - 1];
+    scale_by_powers(STEPS - 1, c, h, ch);
+    long m = count * NN;
+    for (long i0 = 0; i0 < m; i0 += BLOCK) {
+        long len = m - i0 < BLOCK ? m - i0 : BLOCK;
+        double yn[BLOCK], f[BLOCK];
+        for (long i = 0; i < len; i++) {
+            yn[i] = y[i0 + i];
+            f[i] = w[0][i0 + i];
+        }
+        for (int j = 0; j < STEPS - 1; j++) {
+            const double *wj = w[j] + i0, *wk = w[j + 1] + i0;
+            for (long i = 0; i < len; i++) {
+                yn[i] += ch[j] * wj[i];
+                f[i] += ch[j] * wk[i];
+            }
+        }
+        for (long i = 0; i < len; i++) {
+            w[0][i0 + i] = f[i];
+            y_new[i0 + i] = yn[i];
         }
     }
-    return sqrt(sum / (double)m);
 }

@@ -189,8 +189,9 @@ def build_run_config(flat):
 
 
 def load_run_config(path=None, overrides=()):
-    """Read an optional config file and apply `key=value` override strings."""
-    flat = {}
+    """Read an optional config file and apply `key=value` override strings;
+    a key given by two overrides is refused."""
+    flat, given = {}, {}
     if path is not None:
         with open(path) as fh:
             flat.update(parse_config_text(fh.read()))
@@ -198,5 +199,9 @@ def load_run_config(path=None, overrides=()):
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
-        flat[key.strip()] = _parse_scalar(value)
+        key = key.strip()
+        if key in given:
+            raise ConfigError(f"{key} is set twice by --set")
+        given[key] = _parse_scalar(value)
+    flat.update(given)
     return build_run_config(flat)

@@ -38,25 +38,36 @@ times row k of Y of n - e_k (when n_k > 0), of n, and of n + e_k (when
 within the truncation). Row k of Y of a node is row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
-control of `solve_ivp`'s RK45, in a loop that owns every state-sized
-buffer: eight of them, y, y_new and six for the seven stages. The stage
-sums y + h sum_j a_sj k_j and the RMS norm of the error estimate
-h sum_j E_j k_j run in the same compiled unit and read no stage whose
-coefficient is zero. From the stage-6 sum on, that includes k_1 (a_61 =
-E_1 = 0, and row 1 of the dense output is zero), so k_6 = f(y_new) is
-written into k_1's buffer and FSAL swaps the roles of the k_0 and k_1
-buffers instead of copying k_6 into k_0. Step control, FSAL, dense
-output and sampling stay here. The error norm is taken over the moduli
-|zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
-complex state, so the step sequence is that of RK45 on zeta. The loop
-ends at exactly t_end, the last time of `SystemParams.output_times()`;
-the dense output of each step, evaluated for the physical block only,
-is sampled onto that grid.
+control of `solve_ivp`'s RK45. The generator L is linear and reads no
+time, so each stage of a step is a polynomial in z = hL applied to y, and
+so are the fifth-order solution and the error estimate (`step_polynomials`
+derives them exactly from the tableau):
+
+    y_new = (1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600) y,
+    error = (97/120000 z^5 - 13/40000 z^6 + 1/24000 z^7) y.
+
+An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
+w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass
+(`_kernel.c`) then takes the RMS norm of the error estimate, forming y_new
+node by node for its scale; on acceptance a second pass writes y_new =
+y + sum_i c_i h^i w_i into w_7's buffer, whose role y takes, and f(y_new)
+= w_1 + sum_i c_i h^i w_(i+1) over w_1. The loop owns eight state-sized
+buffers, y and w_1..w_7; a rejected attempt recomputes the chain. This
+form holds only while the generator stays linear and time-independent: a
+time-dependent term, such as a pulsed field, would need the stage sums
+back. Step control, dense output and sampling stay here. The error norm is
+taken over the moduli |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which
+equals RK45's norm on the complex state, so the step sequence is that of
+RK45 on zeta. The loop ends at exactly t_end, the last time of
+`SystemParams.output_times()`; the dense output of each step, node 0 of
+h^i w_i times the constant 7 x 4 matrix K^T P of RK45's interpolant with
+K written in the w basis, is sampled onto that grid.
 """
 
 import ctypes
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -66,36 +77,66 @@ from .hierarchy import NO_NEIGHBOR, enumerate_hierarchy
 from .linalg import check_hermitian_matrix
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5).
-# Row s of _A gives stage s from stages 0..s-1; the last row is the
-# fifth-order solution, whose derivative is the first stage of the next
-# step (FSAL). _E is the fifth- minus fourth-order weight over all seven
-# stages and _P the quartic dense-output polynomial of `solve_ivp`'s RK45
-# (Shampine, Math. Comp. 46, 135 (1986)).
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656, 0],
-    [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84],
-])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875/199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+def _rational(rows):
+    """Rows of space-separated fractions such as "-56/15" as lists of Fraction."""
+    return [[Fraction(x) for x in row.split()] for row in rows.strip().splitlines()]
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
+# exact. Row s - 1 of _A gives stage s from stages 0..s-1, stage 0 being
+# f(y); the last row is the fifth-order solution, whose derivative is
+# stage 6 and the first stage of the next step (FSAL). _E is the fifth-
+# minus fourth-order weight over all seven stages and _P the quartic
+# dense-output polynomial of `solve_ivp`'s RK45 (Shampine, Math. Comp. 46,
+# 135 (1986)).
+_A = _rational("""
+    1/5
+    3/40        9/40
+    44/45       -56/15       32/9
+    19372/6561  -25360/2187  64448/6561  -212/729
+    9017/3168   -355/33      46732/5247  49/176    -5103/18656
+    35/384      0            500/1113    125/192   -2187/6784   11/84
+""")
+_E = _rational("-71/57600 0 71/16695 -71/1920 17253/339200 -22/525 1/40")[0]
+_P = _rational("""
+    1  -8048581381/2820520608    8663915743/2820520608      -12715105075/11282082432
+    0  0                         0                          0
+    0  131558114200/32700410799  -68118460800/10900136933   87487479700/32700410799
+    0  -1754552775/470086768     14199869525/1410260304     -10690763975/1880347072
+    0  127303824393/49829197408  -318862633887/49829197408  701980252875/199316789632
+    0  -282668133/205662961      2019193451/616988883       -1453857185/822651844
+    0  40617522/29380423         -110615467/29380423        69997945/29380423
+""")
+
+
+def step_polynomials():
+    """One Dormand-Prince step for y' = L y as polynomials in z = hL, exact.
+
+    Returns (y_new, error, dense): y_new[i] and error[i] are the
+    coefficients of z^i y, i = 0..7, in the fifth-order solution and in the
+    error estimate h sum_s E_s k_s; row i - 1 of the 7 x 4 `dense` is what
+    z^i y, i = 1..7, contributes to RK45's dense-output coefficients
+    h K^T P.
+    """
+    k = []  # h k_s as the coefficients of z^0..z^7 y
+    for row in [[], *_A]:
+        state = [int(i == 0) + sum(a * kj[i] for a, kj in zip(row, k))
+                 for i in range(8)]
+        k.append([Fraction(0), *state[:7]])
+    y_new = state  # the state of stage 6, from the last row of _A
+    error = [sum(e * kj[i] for e, kj in zip(_E, k)) for i in range(8)]
+    dense = [[sum(kj[i] * p[col] for kj, p in zip(k, _P)) for col in range(4)]
+             for i in range(1, 8)]
+    return y_new, error, dense
+
+
+# The coefficients of h^i w_i, w_i = L^i y, that `run` hands the kernel:
+# i = 1..6 of y_new (its i = 0 term is y, and there is no i = 7 term) and
+# i = 1..7 of the error estimate; _DENSE maps node 0 of h^i w_i to the
+# dense output.
+_y_new, _error, _dense = step_polynomials()
+_Y_NEW, _ERROR, _DENSE = (np.array(p, dtype=float)
+                          for p in (_y_new[1:7], _error[1:], _dense))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
@@ -238,23 +279,21 @@ class HEOMPropagator:
         samples[0] = y[0]
 
         cfg = self.config
-        # Eight state-sized buffers: y, y_new and six for the seven stages.
-        # k_6 = f(y_new) is written into k_1's buffer: nothing reads k_1
-        # after the stage-5 sum. FSAL swaps the roles of k_0 and k_1, so a
-        # rejected attempt still finds k_0 = f(y). The dense output of a
-        # step with samples reads node 0 of each stage into `phys`.
-        buffers = np.empty((6,) + y.shape)
-        k = [*buffers, buffers[1]]
-        y_new = np.empty_like(y)
+        # Eight state-sized buffers: y and the chain w_1..w_7, w_j = L^j y.
+        # w_1 = f(y) is only overwritten on acceptance, by f(y_new), so a
+        # rejected attempt still finds it. y_new is written into w_7's
+        # buffer, and y and w_7 then swap roles. The dense output of a step
+        # with samples reads node 0 of each w_j into `phys`.
+        w = [*np.empty((7,) + y.shape)]
         phys = np.empty((7, N_SITES, N_SITES))
-        # The compiled stage sum and error norm take raw addresses of these
-        # buffers, which live until the loop ends.
-        stage, norm = kernel.LIB.heom_stage, kernel.LIB.heom_error_norm
-        kp = (ctypes.c_void_p * 7)(*(ks.ctypes.data for ks in k))
-        yp, ynp = y.ctypes.data, y_new.ctypes.data
-        tableau, e = _A.ctypes.data, _E.ctypes.data
+        powers = np.arange(1, 8)[:, None]
+        # The compiled norm and update take raw addresses of these buffers,
+        # which live until the loop ends.
+        norm, update = kernel.LIB.heom_norm, kernel.LIB.heom_update
+        wp = (ctypes.c_void_p * 7)(*(wj.ctypes.data for wj in w))
+        yp, c, e = y.ctypes.data, _Y_NEW.ctypes.data, _ERROR.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
-        self.rhs(t, y, out=k[0])
+        self.rhs(t, y, out=w[0])
         nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
         next_i = 1
         while t < t_end:
@@ -268,12 +307,12 @@ class HEOMPropagator:
                         "(step-size underflow or tolerance not met)")
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
-                for s in range(1, 7):
-                    stage(self.count, s, tableau, h, yp, kp, ynp)
-                    self.rhs(t + _C[s] * h, y_new, out=k[s])
+                # The generator reads no time; every call gets the step's start.
+                for j in range(1, 7):
+                    self.rhs(t, w[j - 1], out=w[j])
                 nfev += 6
-                error_norm = norm(self.count, e, h, cfg.abs_tol, cfg.rel_tol,
-                                  yp, ynp, kp)
+                error_norm = norm(self.count, c, e, h, cfg.abs_tol, cfg.rel_tol,
+                                  yp, wp)
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -291,17 +330,15 @@ class HEOMPropagator:
             poly = None
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
                 if poly is None:
-                    # RK45's dense output restricted to the physical block;
-                    # slot 1 holds k_6 again, which the zero row 1 of _P drops.
-                    np.stack([ks[0] for ks in k], out=phys)
-                    poly = phys.reshape(7, -1).T @ _P
+                    # RK45's dense output restricted to the physical block.
+                    np.stack([wj[0] for wj in w], out=phys)
+                    poly = phys.reshape(7, -1).T @ (h ** powers * _DENSE)
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
-                samples[next_i] = (h * (poly @ p)).reshape(N_SITES, N_SITES) + y[0]
+                samples[next_i] = (poly @ p).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
-            t, y, y_new, yp, ynp = t_new, y_new, y, ynp, yp
-            k[0], k[1], k[6] = k[6], k[0], k[0]
-            kp[0], kp[1], kp[6] = kp[6], kp[0], kp[0]
+            update(self.count, c, h, yp, wp, wp[6])
+            t, y, w[6], yp, wp[6] = t_new, w[6], y, wp[6], yp
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),

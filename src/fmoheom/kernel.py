@@ -107,18 +107,18 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    stages = ctypes.POINTER(ptr)  # the addresses of the 7 stages
+    steps = ctypes.POINTER(ptr)  # the addresses of w_1..w_7
     # heom_rhs(count, h, r, n, down, up, a_re, a_im, gamma, q, out)
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_stage(count, s, a, h, y, k, y_new)
-    lib.heom_stage.argtypes = [long_, ctypes.c_int, ptr, double, ptr, stages, ptr]
-    lib.heom_stage.restype = None
-    # heom_error_norm(count, e, h, atol, rtol, y, y_new, k)
-    lib.heom_error_norm.argtypes = [long_, ptr, double, double, double, ptr, ptr,
-                                    stages]
-    lib.heom_error_norm.restype = double
+    # heom_norm(count, c, e, h, atol, rtol, y, w) with c and e the
+    # polynomial coefficients of y_new and of the error estimate
+    lib.heom_norm.argtypes = [long_, ptr, ptr, double, double, double, ptr, steps]
+    lib.heom_norm.restype = double
+    # heom_update(count, c, h, y, w, y_new)
+    lib.heom_update.argtypes = [long_, ptr, double, ptr, steps, ptr]
+    lib.heom_update.restype = None
     return lib
 
 

@@ -176,6 +176,18 @@ class TestConfig:
         assert "lines 1 and 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_key_set_twice_by_overrides_rejected(self, tmp_path, capsys):
+        # Two --set of one key fail like two lines of a file, naming the key,
+        # before any output exists.
+        with pytest.raises(ConfigError, match="system.truncation_N is set twice by --set"):
+            load_run_config(overrides=["system.truncation_N=2", "system.truncation_N=3"])
+        out = tmp_path / "run"
+        # FAST already sets system.truncation_N.
+        assert main(["simulate", "--out", str(out), *FAST,
+                     "--set", "system.truncation_N=3"]) == 1
+        assert "system.truncation_N is set twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_localized_run(self, tmp_path):

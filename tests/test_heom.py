@@ -359,21 +359,19 @@ class TestIntegration:
         np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
 
     def test_step_after_rejection_does_not_grow(self):
-        # A derivative that jumps at 0.5 fs forces rejections after the
-        # first steps have grown; the step that follows a rejection must
-        # not be larger than the rejected one, as in scipy's RK45.
-        def jump(t, y):
-            return np.full_like(y, 1e-3 if t >= 0.5 else 0.0)
-
-        def jump_rhs(t, q, out):
-            out[...] = jump(t, q)
-            return out
+        # A linear, time-independent decay y' = -2 y: once y has fallen far
+        # below abs_tol the step keeps growing until an attempt fails the
+        # error test. The step that follows a rejection must not be larger
+        # than the rejected one, as in scipy's RK45.
+        def decay_rhs(t, q, out):
+            return np.multiply(q, -2.0, out=out)
 
         prop = HEOMPropagator(SystemParams(truncation_N=0, t_end_fs=20.0))
-        prop.rhs = jump_rhs
+        prop.rhs = decay_rhs
         stats = prop.run(localized_state(1)).stats
         cfg = prop.config
-        sol = solve_ivp(jump, (0.0, 20.0), localized_state(1).real.reshape(-1),
+        sol = solve_ivp(lambda t, z: -2.0 * z, (0.0, 20.0),
+                        localized_state(1).astype(complex).reshape(-1),
                         method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
                         first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
         assert stats.rejected >= 1
@@ -385,20 +383,21 @@ class TestIntegration:
         prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=10.0))
         calls = counting(prop)
         rhs = prop.rhs
+        first_nan = []
 
         def nan_after_2fs(t, q, out):
             rhs(t, q, out=out)
             if t > 2.0:
                 out[...] = np.nan
+                first_nan.append(calls[0])
             return out
 
         prop.rhs = nan_after_2fs
         with pytest.raises(IntegrationError, match=r"failed at t = \d\.\d+ fs "
                            r"\(the error estimate was not finite\)"):
             prop.run(localized_state(1))
-        # The first NaN comes at call 22; at most the five remaining stages
-        # of that attempt follow it.
-        assert calls[0] <= 27
+        # At most the five remaining calls of that attempt follow the first NaN.
+        assert first_nan and calls[0] - first_nan[0] <= 5
 
     def test_stats_count_every_evaluation(self):
         prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))

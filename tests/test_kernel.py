@@ -1,18 +1,20 @@
-"""The compiled kernel: its build cache, and its stage sum and error norm
-against the numpy formulas they replace."""
+"""The compiled kernel: its build cache, its error norm and step update
+against numpy, and the polynomial form of the Dormand-Prince step."""
 
 import ctypes
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from fmoheom import kernel
-from fmoheom.heom import _A, _E
+from fmoheom.heom import _DENSE, _ERROR, _Y_NEW, step_polynomials
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 
@@ -23,70 +25,86 @@ def random_states(rng, count, n=1):
     return rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 0, size=shape)
 
 
-def numpy_error_norm(y, y_new, k, h, atol, rtol):
-    """RMS of h sum_j E_j k_j over atol + rtol max(|zeta|, |zeta_new|)."""
+def numpy_error_norm(y, y_new, err, atol, rtol):
+    """RMS of the error estimate err over atol + rtol max(|zeta|, |zeta_new|)."""
     scale = np.maximum(np.hypot(y, y.transpose(0, 2, 1)),
                        np.hypot(y_new, y_new.transpose(0, 2, 1)))
     scale = scale * (rtol / math.sqrt(2.0)) + atol
-    err = np.tensordot(_E, k, axes=1) * h / scale
-    return math.sqrt(np.mean(err ** 2))
+    return math.sqrt(np.mean((err / scale) ** 2))
 
 
-def addresses(k):
-    """The seven stages k as the array of addresses the kernel takes."""
-    return (ctypes.c_void_p * 7)(*(ks.ctypes.data for ks in k))
+def addresses(w):
+    """The states w_1..w_7 as the array of addresses the kernel takes."""
+    return (ctypes.c_void_p * 7)(*(wj.ctypes.data for wj in w))
 
 
-def error_norm(count, h, atol, rtol, y, y_new, k):
-    return kernel.LIB.heom_error_norm(count, _E.ctypes.data, h, atol, rtol,
-                                      y.ctypes.data, y_new.ctypes.data, addresses(k))
-
-
-def stage(count, s, h, y, k, out):
-    kernel.LIB.heom_stage(count, s, _A.ctypes.data, h, y.ctypes.data, addresses(k),
-                          out.ctypes.data)
+def weights(coefficients, h):
+    """The coefficients c_i of h^i w_i times h^i, i = 1, 2, ..."""
+    return coefficients * h ** np.arange(1, coefficients.size + 1)
 
 
 @pytest.mark.parametrize("count", [1, 36, 330])
 @pytest.mark.parametrize("h,atol,rtol", [(0.01, 1e-10, 1e-8), (3.0, 1e-13, 1e-11)])
 def test_error_norm_matches_numpy(count, h, atol, rtol):
     rng = np.random.default_rng(count)
-    y, y_new = random_states(rng, count, 2)
-    k = random_states(rng, count, 7)
-    assert error_norm(count, h, atol, rtol, y, y_new, k) == pytest.approx(
-        numpy_error_norm(y, y_new, k, h, atol, rtol), rel=1e-14, abs=0)
+    y = random_states(rng, count)[0]
+    w = random_states(rng, count, 7)
+    y_new = y + np.tensordot(weights(_Y_NEW, h), w[:6], axes=1)
+    err = np.tensordot(weights(_ERROR, h), w, axes=1)
+    norm = kernel.LIB.heom_norm(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
+                                atol, rtol, y.ctypes.data, addresses(w))
+    assert norm == pytest.approx(numpy_error_norm(y, y_new, err, atol, rtol),
+                                 rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("count", [1, 330])
-def test_stage_matches_numpy(count):
+def test_update_matches_numpy(count):
     # 330 nodes are 16 170 doubles, not a whole number of kernel blocks.
     rng = np.random.default_rng(count)
     y = random_states(rng, count)[0]
-    k = random_states(rng, count, 7)
-    out = np.empty_like(y)
+    w = [*random_states(rng, count, 7)]
     h = 0.37
-    for s in range(1, 7):
-        stage(count, s, h, y, k, out)
-        terms = np.abs(y) + h * np.tensordot(np.abs(_A[s, :s]), np.abs(k[:s]), axes=1)
-        expected = y + h * np.tensordot(_A[s, :s], k[:s], axes=1)
-        assert np.all(np.abs(out - expected) <= 1e-15 * terms)
+    c = weights(_Y_NEW, h)
+    y_new = y + np.tensordot(c, w[:6], axes=1)
+    f_new = w[0] + np.tensordot(c, w[1:], axes=1)
+    y_terms = np.abs(y) + np.tensordot(np.abs(c), np.abs(w[:6]), axes=1)
+    f_terms = np.abs(w[0]) + np.tensordot(np.abs(c), np.abs(w[1:]), axes=1)
+    # As in run(), y_new goes into w_7's buffer, which f(y_new) reads.
+    wp = addresses(w)
+    kernel.LIB.heom_update(count, _Y_NEW.ctypes.data, h, y.ctypes.data, wp, wp[6])
+    assert np.all(np.abs(w[6] - y_new) <= 1e-14 * y_terms)
+    assert np.all(np.abs(w[0] - f_new) <= 1e-14 * f_terms)
 
 
-def test_last_stage_does_not_read_k1():
-    # a_61 = E_1 = 0, so run() writes k_6 into k_1's buffer: neither the
-    # stage-6 sum nor the error norm may read k_1.
-    count = 36
-    rng = np.random.default_rng(1)
-    y, y_new = random_states(rng, count, 2)
-    k = [*random_states(rng, count, 7)]
-    k[1] = np.full_like(y, np.nan)
-    out = np.empty_like(y)
-    stage(count, 6, 0.37, y, k, out)
-    assert np.all(np.isfinite(out))
-    k_zeroed = np.array(k)
-    k_zeroed[1] = 0.0
-    assert error_norm(count, 0.37, 1e-10, 1e-8, y, y_new, k) == pytest.approx(
-        numpy_error_norm(y, y_new, k_zeroed, 0.37, 1e-10, 1e-8), rel=1e-14, abs=0)
+def test_step_polynomials_are_the_closed_forms():
+    y_new, error, dense = step_polynomials()
+    F = Fraction
+    assert y_new == [1, 1, F(1, 2), F(1, 6), F(1, 24), F(1, 120), F(1, 600), 0]
+    assert error == [0, 0, 0, 0, 0, F(97, 120000), F(-13, 40000), F(1, 24000)]
+    assert all(isinstance(x, Fraction) for x in [*y_new, *error, *np.ravel(dense)])
+    assert list(_Y_NEW) == [float(x) for x in y_new[1:7]]
+    assert list(_ERROR) == [float(x) for x in error[1:]]
+    assert _DENSE.tolist() == [[float(x) for x in row] for row in dense]
+
+
+def test_polynomial_step_reproduces_the_stage_form():
+    # scipy's RK45 tableau, stage by stage, on a random linear generator
+    # against the chain w_i = L^i y: the fifth-order solution, the error
+    # estimate and RK45's dense-output coefficients h K^T P.
+    rng = np.random.default_rng(7)
+    gen = rng.normal(size=(5, 5)) / 3.0
+    y = rng.normal(size=5)
+    h = 0.7
+    k = np.empty((7, 5))
+    k[0] = gen @ y
+    for s in range(1, 6):
+        k[s] = gen @ (y + h * (RK45.A[s, :s] @ k[:s]))
+    y5 = y + h * (RK45.B @ k[:6])
+    k[6] = gen @ y5
+    hw = np.stack([h ** i * np.linalg.matrix_power(gen, i) @ y for i in range(1, 8)])
+    np.testing.assert_allclose(y + _Y_NEW @ hw[:6], y5, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_ERROR @ hw, h * (RK45.E @ k), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(hw.T @ _DENSE, h * (k.T @ RK45.P), rtol=0, atol=1e-14)
 
 
 def test_source_compiles_without_warnings():
