@@ -10,12 +10,12 @@
  * row of 7 doubles is held as one 8-double vector with a zero eighth lane,
  * so every product is a broadcast times a vector.
  *
- * The other two functions finish a Dormand-Prince step written as a
- * polynomial in h L, from the chain w_i = L^i y, i = 1..7, that the caller
- * has formed with heom_rhs: heom_norm takes the RMS norm of the error
- * estimate, forming y_new node by node for its scale, and heom_update
- * writes y_new and f(y_new) once the step is accepted. Both take the
- * addresses of w_1..w_7 as one array, because the buffers change roles.
+ * heom_step finishes a Dormand-Prince step written as a polynomial in h L,
+ * from the chain w_i = L^i y, i = 1..7, that the caller has formed with
+ * heom_rhs: in one pass over the nodes it returns the RMS norm of the
+ * error estimate and writes y_new and f(y_new), whether or not the caller
+ * then accepts the step. It takes the addresses of w_1..w_7 as one array,
+ * because the buffers change roles.
  * Each function takes the node count first. Every array is C-contiguous
  * and checked by the caller; nothing is allocated here.
  */
@@ -26,7 +26,6 @@
 #define N 7    /* sites: a node is N x N */
 #define NN (N * N)
 #define STEPS 7  /* w_1..w_7 of a Dormand-Prince step */
-#define BLOCK 512
 
 typedef double v8 __attribute__((vector_size(64)));
 
@@ -114,12 +113,14 @@ static void scale_by_powers(int m, const double *c, double h, double *out)
 /* RMS over every entry of err / scale, with the error estimate err =
  * sum_{i=1..7} e_i h^i w_i and scale = atol + rtol max(|zeta_ij|,
  * |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the
- * modulus of the complex entry that Q stores. y_new = y + sum_{i=1..6}
- * c_i h^i w_i is formed node by node for the scale and not stored. w holds
- * the addresses of w_1..w_7, c the six and e the seven coefficients. */
-double heom_norm(long count, const double *c, const double *e, double h,
+ * modulus of the complex entry that Q stores. The same pass writes y_new =
+ * y + sum_{i=1..6} c_i h^i w_i and f(y_new) = w_1 + sum_{i=1..6} c_i h^i
+ * w_{i+1}. w holds the addresses of w_1..w_7, c the six and e the seven
+ * coefficients. y_new and f_new may be buffers of w (w_7's and w_6's in
+ * the caller): each node is read from every state before it is written. */
+double heom_step(long count, const double *c, const double *e, double h,
                  double atol, double rtol, const double *y,
-                 const double *const w[STEPS])
+                 const double *const w[STEPS], double *y_new, double *f_new)
 {
     double ch[STEPS - 1], eh[STEPS], sum[NN] = {0.0}, total = 0.0;
     double factor = rtol / sqrt(2.0);
@@ -127,15 +128,17 @@ double heom_norm(long count, const double *c, const double *e, double h,
     scale_by_powers(STEPS, e, h, eh);
     for (long node = 0; node < count; node++) {
         long o = node * NN;
-        double yn[NN], err[NN];
+        double yn[NN], f[NN], err[NN];
         for (int i = 0; i < NN; i++) {
             yn[i] = y[o + i];
+            f[i] = w[0][o + i];
             err[i] = eh[STEPS - 1] * w[STEPS - 1][o + i];
         }
         for (int j = 0; j < STEPS - 1; j++) {
-            const double *wj = w[j] + o;
+            const double *wj = w[j] + o, *wk = w[j + 1] + o;
             for (int i = 0; i < NN; i++) {
                 yn[i] += ch[j] * wj[i];
+                f[i] += ch[j] * wk[i];
                 err[i] += eh[j] * wj[i];
             }
         }
@@ -148,38 +151,10 @@ double heom_norm(long count, const double *c, const double *e, double h,
                            (sqrt(fmax(u * u + v * v, s * s + t * t)) * factor + atol);
                 sum[a * N + b] += r * r;
             }
+        memcpy(y_new + o, yn, sizeof yn);
+        memcpy(f_new + o, f, sizeof f);
     }
     for (int i = 0; i < NN; i++)
         total += sum[i];
     return sqrt(total / (double)(count * NN));
-}
-
-/* The accepted step: y_new = y + sum_{i=1..6} c_i h^i w_i and, over w_1,
- * f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1}. y_new may be w_7's
- * buffer: each block is read from every state before it is written. */
-void heom_update(long count, const double *c, double h, const double *y,
-                 double *const w[STEPS], double *y_new)
-{
-    double ch[STEPS - 1];
-    scale_by_powers(STEPS - 1, c, h, ch);
-    long m = count * NN;
-    for (long i0 = 0; i0 < m; i0 += BLOCK) {
-        long len = m - i0 < BLOCK ? m - i0 : BLOCK;
-        double yn[BLOCK], f[BLOCK];
-        for (long i = 0; i < len; i++) {
-            yn[i] = y[i0 + i];
-            f[i] = w[0][i0 + i];
-        }
-        for (int j = 0; j < STEPS - 1; j++) {
-            const double *wj = w[j] + i0, *wk = w[j + 1] + i0;
-            for (long i = 0; i < len; i++) {
-                yn[i] += ch[j] * wj[i];
-                f[i] += ch[j] * wk[i];
-            }
-        }
-        for (long i = 0; i < len; i++) {
-            w[0][i0 + i] = f[i];
-            y_new[i0 + i] = yn[i];
-        }
-    }
 }

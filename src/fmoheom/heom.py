@@ -48,17 +48,17 @@ derives them exactly from the tableau):
 
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
 w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass
-(`_kernel.c`) then takes the RMS norm of the error estimate, forming y_new
-node by node for its scale; on acceptance a second pass writes y_new =
-y + sum_i c_i h^i w_i into w_7's buffer, whose role y takes, and f(y_new)
-= w_1 + sum_i c_i h^i w_(i+1) over w_1. The loop owns eight state-sized
-buffers, y and w_1..w_7; a rejected attempt recomputes the chain. This
-form holds only while the generator stays linear and time-independent: a
-time-dependent term, such as a pulsed field, would need the stage sums
-back. Step control, dense output and sampling stay here. The error norm is
-taken over the moduli |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which
-equals RK45's norm on the complex state, so the step sequence is that of
-RK45 on zeta. The loop ends at exactly t_end, the last time of
+(`_kernel.c`) then returns the RMS norm of the error estimate and writes
+y_new = y + sum_i c_i h^i w_i into w_7's buffer and f(y_new) = w_1 +
+sum_i c_i h^i w_(i+1) into w_6's. On acceptance y and w_1 take those two
+buffers, and the old y and w_1 become w_6 and w_7. The loop owns eight
+state-sized buffers, y and w_1..w_7; a rejected attempt recomputes the
+chain from the untouched w_1. This form holds only while the generator
+stays linear and time-independent: a time-dependent term, such as a
+pulsed field, would need the stage sums back. Step control, dense output
+and sampling stay here. The error norm is taken over the moduli
+|zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
+complex state, so the step sequence is that of RK45 on zeta. The loop ends at exactly t_end, the last time of
 `SystemParams.output_times()`; the dense output of each step, node 0 of
 h^i w_i times the constant 7 x 4 matrix K^T P of RK45's interpolant with
 K written in the w basis, is sampled onto that grid.
@@ -280,16 +280,16 @@ class HEOMPropagator:
 
         cfg = self.config
         # Eight state-sized buffers: y and the chain w_1..w_7, w_j = L^j y.
-        # w_1 = f(y) is only overwritten on acceptance, by f(y_new), so a
-        # rejected attempt still finds it. y_new is written into w_7's
-        # buffer, and y and w_7 then swap roles. The dense output of a step
-        # with samples reads node 0 of each w_j into `phys`.
+        # The compiled pass of every attempt writes y_new into w_7's buffer
+        # and f(y_new) into w_6's, which the attempt no longer needs; it only
+        # reads y and w_1 = f(y), so a rejected attempt still finds them. On
+        # acceptance the roles rotate: y and w_1 take those two buffers, and
+        # the old y and w_1 become w_6 and w_7.
         w = [*np.empty((7,) + y.shape)]
-        phys = np.empty((7, N_SITES, N_SITES))
         powers = np.arange(1, 8)[:, None]
-        # The compiled norm and update take raw addresses of these buffers,
-        # which live until the loop ends.
-        norm, update = kernel.LIB.heom_norm, kernel.LIB.heom_update
+        # The compiled pass takes raw addresses of these buffers, which live
+        # until the loop ends.
+        step = kernel.LIB.heom_step
         wp = (ctypes.c_void_p * 7)(*(wj.ctypes.data for wj in w))
         yp, c, e = y.ctypes.data, _Y_NEW.ctypes.data, _ERROR.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
@@ -311,8 +311,13 @@ class HEOMPropagator:
                 for j in range(1, 7):
                     self.rhs(t, w[j - 1], out=w[j])
                 nfev += 6
-                error_norm = norm(self.count, c, e, h, cfg.abs_tol, cfg.rel_tol,
-                                  yp, wp)
+                if next_i <= n_out and times[next_i] <= t_new + 1e-12:
+                    # RK45's dense output restricted to the physical block,
+                    # read before the pass overwrites w_6 and w_7.
+                    phys = np.stack([wj[0] for wj in w]).reshape(7, -1)
+                    poly = phys.T @ (h ** powers * _DENSE)
+                error_norm = step(self.count, c, e, h, cfg.abs_tol, cfg.rel_tol,
+                                  yp, wp, wp[6], wp[5])
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -327,18 +332,13 @@ class HEOMPropagator:
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
 
-            poly = None
             while next_i <= n_out and times[next_i] <= t_new + 1e-12:
-                if poly is None:
-                    # RK45's dense output restricted to the physical block.
-                    np.stack([wj[0] for wj in w], out=phys)
-                    poly = phys.reshape(7, -1).T @ (h ** powers * _DENSE)
                 x = (min(times[next_i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
                 samples[next_i] = (poly @ p).reshape(N_SITES, N_SITES) + y[0]
                 next_i += 1
-            update(self.count, c, h, yp, wp, wp[6])
-            t, y, w[6], yp, wp[6] = t_new, w[6], y, wp[6], yp
+            t, y, w[0], w[5], w[6] = t_new, w[6], w[5], y, w[0]
+            yp, wp[0], wp[5], wp[6] = wp[6], wp[5], yp, wp[0]
         stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
                                 min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),

@@ -112,13 +112,12 @@ def load():
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_norm(count, c, e, h, atol, rtol, y, w) with c and e the
-    # polynomial coefficients of y_new and of the error estimate
-    lib.heom_norm.argtypes = [long_, ptr, ptr, double, double, double, ptr, steps]
-    lib.heom_norm.restype = double
-    # heom_update(count, c, h, y, w, y_new)
-    lib.heom_update.argtypes = [long_, ptr, double, ptr, steps, ptr]
-    lib.heom_update.restype = None
+    # heom_step(count, c, e, h, atol, rtol, y, w, y_new, f_new) with c and e
+    # the polynomial coefficients of y_new and of the error estimate; it
+    # returns the error norm
+    lib.heom_step.argtypes = [long_, ptr, ptr, double, double, double, ptr, steps,
+                              ptr, ptr]
+    lib.heom_step.restype = double
     return lib
 
 

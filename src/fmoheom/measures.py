@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI, check_hermitian, check_hermitian_matrix
-from .model import N_SITES
+from .model import N_SITES, _is_integer
 
 # Basis ordering of the 4x4 pair state, qubit m first:
 # index 0 = |0_m 0_n>, 1 = |0_m 1_n>, 2 = |1_m 0_n>, 3 = |1_m 1_n>.
@@ -56,6 +56,8 @@ def reduce_pair(rho, m, n):
     The ground-ground population is Tr(rho) - rho_mm - rho_nn; the
     double-excitation row and column are identically zero.
     """
+    if not (_is_integer(m) and _is_integer(n)):
+        raise ValueError(f"pair sites must be integers, got ({m!r}, {n!r})")
     if m == n:
         raise ValueError("pair sites must differ")
     if m > n:

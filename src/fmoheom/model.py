@@ -62,7 +62,10 @@ def _is_integer(value):
 
 
 def check_site(x, name):
-    """Reject a site index outside 1..N_SITES; `name` labels the message."""
+    """Reject a site index that is not an integer in 1..N_SITES (a bool is
+    not a site); `name` labels the message."""
+    if not _is_integer(x):
+        raise ValueError(f"{name}: site must be an integer, got {x!r}")
     if not 1 <= x <= N_SITES:
         raise ValueError(f"{name}: site {x} outside 1..{N_SITES}")
 

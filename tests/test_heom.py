@@ -424,8 +424,9 @@ class TestIntegration:
         assert max(sizes) < state_bytes
 
     def test_run_holds_eight_states(self):
-        # y, y_new and six buffers for the seven stages: k_6 reuses k_1's
-        # buffer, and FSAL swaps instead of copying.
+        # y and the chain w_1..w_7: the step pass writes y_new and f(y_new)
+        # into w_7's and w_6's buffers, and an accepted step rotates the
+        # roles of the buffers instead of copying.
         prop = HEOMPropagator(SystemParams(truncation_N=6, t_end_fs=5.0))
         state_bytes = np.zeros(prop.state_shape).nbytes
         tracemalloc.start()

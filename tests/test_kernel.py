@@ -1,9 +1,10 @@
-"""The compiled kernel: its build cache, its error norm and step update
-against numpy, and the polynomial form of the Dormand-Prince step."""
+"""The compiled kernel: its build cache, its ctypes declarations, its step
+pass against numpy, and the polynomial form of the Dormand-Prince step."""
 
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -45,35 +46,44 @@ def weights(coefficients, h):
 
 @pytest.mark.parametrize("count", [1, 36, 330])
 @pytest.mark.parametrize("h,atol,rtol", [(0.01, 1e-10, 1e-8), (3.0, 1e-13, 1e-11)])
-def test_error_norm_matches_numpy(count, h, atol, rtol):
-    rng = np.random.default_rng(count)
-    y = random_states(rng, count)[0]
-    w = random_states(rng, count, 7)
-    y_new = y + np.tensordot(weights(_Y_NEW, h), w[:6], axes=1)
-    err = np.tensordot(weights(_ERROR, h), w, axes=1)
-    norm = kernel.LIB.heom_norm(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
-                                atol, rtol, y.ctypes.data, addresses(w))
-    assert norm == pytest.approx(numpy_error_norm(y, y_new, err, atol, rtol),
-                                 rel=1e-14, abs=0)
-
-
-@pytest.mark.parametrize("count", [1, 330])
-def test_update_matches_numpy(count):
-    # 330 nodes are 16 170 doubles, not a whole number of kernel blocks.
+def test_step_matches_numpy(count, h, atol, rtol):
+    # 330 nodes are 16 170 doubles, which no power-of-two block divides.
     rng = np.random.default_rng(count)
     y = random_states(rng, count)[0]
     w = [*random_states(rng, count, 7)]
-    h = 0.37
+    before = [y.copy(), *(wj.copy() for wj in w)]
     c = weights(_Y_NEW, h)
     y_new = y + np.tensordot(c, w[:6], axes=1)
     f_new = w[0] + np.tensordot(c, w[1:], axes=1)
+    err = np.tensordot(weights(_ERROR, h), w, axes=1)
     y_terms = np.abs(y) + np.tensordot(np.abs(c), np.abs(w[:6]), axes=1)
     f_terms = np.abs(w[0]) + np.tensordot(np.abs(c), np.abs(w[1:]), axes=1)
-    # As in run(), y_new goes into w_7's buffer, which f(y_new) reads.
+    # As in run(), y_new goes into w_7's buffer and f(y_new) into w_6's.
     wp = addresses(w)
-    kernel.LIB.heom_update(count, _Y_NEW.ctypes.data, h, y.ctypes.data, wp, wp[6])
+    norm = kernel.LIB.heom_step(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
+                                atol, rtol, y.ctypes.data, wp, wp[6], wp[5])
+    assert norm == pytest.approx(numpy_error_norm(y, y_new, err, atol, rtol),
+                                 rel=1e-14, abs=0)
     assert np.all(np.abs(w[6] - y_new) <= 1e-14 * y_terms)
-    assert np.all(np.abs(w[0] - f_new) <= 1e-14 * f_terms)
+    assert np.all(np.abs(w[5] - f_new) <= 1e-14 * f_terms)
+    # A rejected attempt recomputes the chain from the untouched w_1 = f(y).
+    for now, then in zip([y, *w[:5]], before):
+        assert np.array_equal(now, then)
+
+
+def test_load_declares_every_exported_function():
+    # Without a restype ctypes reads a double result as an int, and without
+    # argtypes it passes Python floats wrongly; neither raises.
+    source = kernel.SOURCE.read_text()
+    results = {"void": None, "double": ctypes.c_double}
+    exported = re.findall(r"^(?!static)(\w+) (\w+)\(([^)]*)\)\s*\{", source,
+                          re.MULTILINE)
+    assert sorted(name for _, name, _ in exported) == ["heom_rhs", "heom_step"]
+    for result, name, params in exported:
+        function = getattr(kernel.LIB, name)
+        assert function.restype is results[result], name
+        assert function.argtypes is not None, name
+        assert len(function.argtypes) == len(params.split(",")), name
 
 
 def test_step_polynomials_are_the_closed_forms():

@@ -64,6 +64,11 @@ class TestReducePair:
         with pytest.raises(ValueError, match=r"pair \(1,5\) outside 1..4"):
             reduce_pair(np.diag([1.0, 0.0, 0.0, 0.0]), 1, 5)
 
+    @pytest.mark.parametrize("m,n", [(1.5, 3), (True, 3), (2, "3")])
+    def test_non_integer_site_rejected(self, m, n):
+        with pytest.raises(ValueError, match="pair sites must be integers"):
+            reduce_pair(localized_state(1), m, n)
+
     def test_order_insensitive(self, basis):
         rho = fret_state(1, basis)
         a = reduce_pair(rho, 1, 2)

@@ -69,9 +69,9 @@ class TestLocalizedState:
         assert abs(np.trace(rho) - 1.0) == 0.0
         assert abs(np.trace(rho @ rho) - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("x", [0, 8, -1])
+    @pytest.mark.parametrize("x", [0, 8, -1, 2.5, True, "3"])
     def test_out_of_range(self, x):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x: site"):
             localized_state(x)
 
 
