@@ -44,26 +44,41 @@ def weights(coefficients, h):
     return coefficients * h ** np.arange(1, coefficients.size + 1)
 
 
+def step(count, h, atol, rtol, y, w):
+    """heom_step as run() calls it: y_new into w_7's buffer, f(y_new) into
+    w_6's; returns the error norm."""
+    wp = addresses(w)
+    return kernel.LIB.heom_step(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
+                                atol, rtol, y.ctypes.data, wp, wp[6], wp[5])
+
+
 @pytest.mark.parametrize("count", [1, 36, 330])
 @pytest.mark.parametrize("h,atol,rtol", [(0.01, 1e-10, 1e-8), (3.0, 1e-13, 1e-11)])
-def test_step_matches_numpy(count, h, atol, rtol):
+def test_error_norm_matches_numpy(count, h, atol, rtol):
+    rng = np.random.default_rng(count)
+    y = random_states(rng, count)[0]
+    w = [*random_states(rng, count, 7)]
+    y_new = y + np.tensordot(weights(_Y_NEW, h), w[:6], axes=1)
+    err = np.tensordot(weights(_ERROR, h), w, axes=1)
+    norm = step(count, h, atol, rtol, y, w)
+    assert norm == pytest.approx(numpy_error_norm(y, y_new, err, atol, rtol),
+                                 rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("count", [1, 330])
+def test_update_matches_numpy(count):
     # 330 nodes are 16 170 doubles, which no power-of-two block divides.
     rng = np.random.default_rng(count)
     y = random_states(rng, count)[0]
     w = [*random_states(rng, count, 7)]
     before = [y.copy(), *(wj.copy() for wj in w)]
+    h = 0.37
     c = weights(_Y_NEW, h)
     y_new = y + np.tensordot(c, w[:6], axes=1)
     f_new = w[0] + np.tensordot(c, w[1:], axes=1)
-    err = np.tensordot(weights(_ERROR, h), w, axes=1)
     y_terms = np.abs(y) + np.tensordot(np.abs(c), np.abs(w[:6]), axes=1)
     f_terms = np.abs(w[0]) + np.tensordot(np.abs(c), np.abs(w[1:]), axes=1)
-    # As in run(), y_new goes into w_7's buffer and f(y_new) into w_6's.
-    wp = addresses(w)
-    norm = kernel.LIB.heom_step(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
-                                atol, rtol, y.ctypes.data, wp, wp[6], wp[5])
-    assert norm == pytest.approx(numpy_error_norm(y, y_new, err, atol, rtol),
-                                 rel=1e-14, abs=0)
+    step(count, h, 1e-10, 1e-8, y, w)
     assert np.all(np.abs(w[6] - y_new) <= 1e-14 * y_terms)
     assert np.all(np.abs(w[5] - f_new) <= 1e-14 * f_terms)
     # A rejected attempt recomputes the chain from the untouched w_1 = f(y).
