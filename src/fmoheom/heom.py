@@ -39,12 +39,16 @@ within the truncation). Row k of Y of a node is row k and column k of its Q.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45. The generator L is linear and reads no
-time, so each stage of a step is a polynomial in z = hL applied to y, and
-so are the fifth-order solution and the error estimate (`step_polynomials`
-derives them exactly from the tableau):
+time, so a step of the pair is a polynomial in z = hL applied to y (its
+stability polynomial; Hairer, Norsett & Wanner, Solving ODEs I, II.5).
+The step is defined here by those polynomials, the fifth-order solution
+and the error estimate,
 
     y_new = (1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600) y,
-    error = (97/120000 z^5 - 13/40000 z^6 + 1/24000 z^7) y.
+    error = (97/120000 z^5 - 13/40000 z^6 + 1/24000 z^7) y,
+
+and by the dense output of RK45's quartic interpolant (Shampine, Math.
+Comp. 46, 135 (1986)) in the same form.
 
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
 w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass
@@ -58,85 +62,41 @@ stays linear and time-independent: a time-dependent term, such as a
 pulsed field, would need the stage sums back. Step control, dense output
 and sampling stay here. The error norm is taken over the moduli
 |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
-complex state, so the step sequence is that of RK45 on zeta. The loop ends at exactly t_end, the last time of
-`SystemParams.output_times()`; the dense output of each step, node 0 of
-h^i w_i times the constant 7 x 4 matrix K^T P of RK45's interpolant with
-K written in the w basis, is sampled onto that grid.
+complex state, so the step sequence is that of RK45 on zeta. The loop
+ends at exactly t_end, the last time of `SystemParams.output_times()`;
+the dense output of each step, node 0 of h^i w_i times the constant
+7 x 4 matrix K^T P of RK45's interpolant with K written in the w basis,
+is sampled onto that grid.
 """
 
 import ctypes
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import kernel
+from . import kernel, linalg
 from .hierarchy import NO_NEIGHBOR, enumerate_hierarchy
-from .linalg import check_hermitian_matrix
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
-def _rational(rows):
-    """Rows of space-separated fractions such as "-56/15" as lists of Fraction."""
-    return [[Fraction(x) for x in row.split()] for row in rows.strip().splitlines()]
-
-
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
-# exact. Row s - 1 of _A gives stage s from stages 0..s-1, stage 0 being
-# f(y); the last row is the fifth-order solution, whose derivative is
-# stage 6 and the first stage of the next step (FSAL). _E is the fifth-
-# minus fourth-order weight over all seven stages and _P the quartic
-# dense-output polynomial of `solve_ivp`'s RK45 (Shampine, Math. Comp. 46,
-# 135 (1986)).
-_A = _rational("""
-    1/5
-    3/40        9/40
-    44/45       -56/15       32/9
-    19372/6561  -25360/2187  64448/6561  -212/729
-    9017/3168   -355/33      46732/5247  49/176    -5103/18656
-    35/384      0            500/1113    125/192   -2187/6784   11/84
-""")
-_E = _rational("-71/57600 0 71/16695 -71/1920 17253/339200 -22/525 1/40")[0]
-_P = _rational("""
-    1  -8048581381/2820520608    8663915743/2820520608      -12715105075/11282082432
-    0  0                         0                          0
-    0  131558114200/32700410799  -68118460800/10900136933   87487479700/32700410799
-    0  -1754552775/470086768     14199869525/1410260304     -10690763975/1880347072
-    0  127303824393/49829197408  -318862633887/49829197408  701980252875/199316789632
-    0  -282668133/205662961      2019193451/616988883       -1453857185/822651844
-    0  40617522/29380423         -110615467/29380423        69997945/29380423
-""")
-
-
-def step_polynomials():
-    """One Dormand-Prince step for y' = L y as polynomials in z = hL, exact.
-
-    Returns (y_new, error, dense): y_new[i] and error[i] are the
-    coefficients of z^i y, i = 0..7, in the fifth-order solution and in the
-    error estimate h sum_s E_s k_s; row i - 1 of the 7 x 4 `dense` is what
-    z^i y, i = 1..7, contributes to RK45's dense-output coefficients
-    h K^T P.
-    """
-    k = []  # h k_s as the coefficients of z^0..z^7 y
-    for row in [[], *_A]:
-        state = [int(i == 0) + sum(a * kj[i] for a, kj in zip(row, k))
-                 for i in range(8)]
-        k.append([Fraction(0), *state[:7]])
-    y_new = state  # the state of stage 6, from the last row of _A
-    error = [sum(e * kj[i] for e, kj in zip(_E, k)) for i in range(8)]
-    dense = [[sum(kj[i] * p[col] for kj, p in zip(k, _P)) for col in range(4)]
-             for i in range(1, 8)]
-    return y_new, error, dense
-
-
-# The coefficients of h^i w_i, w_i = L^i y, that `run` hands the kernel:
-# i = 1..6 of y_new (its i = 0 term is y, and there is no i = 7 term) and
-# i = 1..7 of the error estimate; _DENSE maps node 0 of h^i w_i to the
-# dense output.
-_y_new, _error, _dense = step_polynomials()
-_Y_NEW, _ERROR, _DENSE = (np.array(p, dtype=float)
-                          for p in (_y_new[1:7], _error[1:], _dense))
+# The step polynomials of the module docstring as the coefficients of
+# h^i w_i, w_i = L^i y, that `run` hands the compiled pass: i = 1..6 of
+# y_new (its i = 0 term is y) and i = 1..7 of the error estimate. Row
+# i - 1 of _DENSE is what h^i w_i adds to the four coefficients of RK45's
+# dense output, h K^T P; its first four rows are diag(1, 1/2, 1/6, 1/24).
+# Each ratio of integers is the float nearest the exact coefficient.
+_Y_NEW = np.array([1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600])
+_ERROR = np.array([0, 0, 0, 0, 97 / 120000, -13 / 40000, 1 / 24000])
+_DENSE = np.array([
+    [1, 0, 0, 0],
+    [0, 1 / 2, 0, 0],
+    [0, 0, 1 / 6, 0],
+    [0, 0, 0, 1 / 24],
+    [0, 5112093 / 587608460, -90725539 / 3525650760, 22358351 / 881412690],
+    [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
+    [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
+])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
@@ -238,7 +198,7 @@ class HEOMPropagator:
 
     def initial_hierarchy(self, rho0):
         """Factorized initial condition Q: physical state at the top, auxiliaries zero."""
-        rho0 = check_hermitian_matrix(rho0, name="initial state")
+        rho0 = linalg.check_hermitian_matrix(rho0, name="initial state")
         if rho0.shape != (N_SITES, N_SITES):
             raise ValueError(f"initial state must be {N_SITES}x{N_SITES}")
         q = np.zeros(self.state_shape)
@@ -351,10 +311,6 @@ def convergence_study(rho0, params, n_values, config=None):
     Returns a list of (N, D) pairs for every N in `n_values`. Trajectories
     are shared between adjacent truncation levels.
     """
-    # Imported at call time: perfbench patches fmoheom.linalg.trace_distance
-    # then, and a module-level import would hide that layer from it.
-    from .linalg import trace_distance
-
     n_values = sorted(set(n_values))
     needed = sorted(set(n_values) | {v + 1 for v in n_values})
     # Every level is validated before the first one is integrated.
@@ -365,7 +321,7 @@ def convergence_study(rho0, params, n_values, config=None):
     for n_trunc in n_values:
         a, b = trajs[n_trunc], trajs[n_trunc + 1]
         d = max(
-            trace_distance(ra, rb, rtol=1e-4)
+            linalg.trace_distance(ra, rb, rtol=1e-4)
             for ra, rb in zip(a.rhos, b.rhos)
         )
         out.append((n_trunc, d))

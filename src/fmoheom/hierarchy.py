@@ -59,10 +59,6 @@ class HierarchyIndexSpace:
     def count(self):
         return self.indices.shape[0]
 
-    @property
-    def depths(self):
-        return self.indices.sum(axis=1)
-
 
 def enumerate_hierarchy(n_sites, depth_max):
     """Build the HierarchyIndexSpace for sum(n) <= depth_max."""

@@ -168,10 +168,6 @@ class ExcitonBasis:
     energies_cm: np.ndarray
     coeffs: np.ndarray
 
-    def weight(self, r, x):
-        """Population weight |c_rx|^2 of exciton r on site x (both 1-based)."""
-        return float(self.coeffs[r - 1, x - 1] ** 2)
-
 
 def exciton_basis(params):
     """Diagonalize the electronic Hamiltonian (in cm^-1) into exciton states."""

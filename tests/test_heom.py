@@ -204,7 +204,7 @@ class TestRHS:
         space, up = prop.space, prop._up
         node, site = np.nonzero(space.indices)
         np.testing.assert_array_equal(up[space.neighbors_minus[node, site], site], node)
-        top = space.depths == n_trunc
+        top = space.indices.sum(axis=1) == n_trunc
         np.testing.assert_array_equal(up == -1, np.repeat(top[:, None], 7, axis=1))
 
     def test_shape_mismatch(self, params):

@@ -32,7 +32,7 @@ class TestCounting:
         # every index is distinct and within depth
         seen = {tuple(row) for row in space.indices}
         assert len(seen) == space.count
-        assert space.depths.max() <= depth
+        assert space.indices.sum(axis=1).max() <= depth
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="node"):

@@ -1,5 +1,6 @@
 """The compiled kernel: its build cache, its ctypes declarations, its step
-pass against numpy, and the polynomial form of the Dormand-Prince step."""
+pass against numpy, and the polynomial form of the Dormand-Prince step
+against the exact stage tableau."""
 
 import ctypes
 import math
@@ -15,7 +16,7 @@ import pytest
 from scipy.integrate import RK45
 
 from fmoheom import kernel
-from fmoheom.heom import _DENSE, _ERROR, _Y_NEW, step_polynomials
+from fmoheom.heom import _DENSE, _ERROR, _Y_NEW
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 
@@ -101,7 +102,63 @@ def test_load_declares_every_exported_function():
         assert len(function.argtypes) == len(params.split(",")), name
 
 
+def _rational(rows):
+    """Rows of space-separated fractions such as "-56/15" as lists of Fraction."""
+    return [[Fraction(x) for x in row.split()] for row in rows.strip().splitlines()]
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5),
+# exact. Row s - 1 of _A gives stage s from stages 0..s-1, stage 0 being
+# f(y); the last row is the fifth-order solution, whose derivative is
+# stage 6 and the first stage of the next step (FSAL). _E is the fifth-
+# minus fourth-order weight over all seven stages and _P the quartic
+# dense-output polynomial of `solve_ivp`'s RK45 (Shampine, Math. Comp. 46,
+# 135 (1986)).
+_A = _rational("""
+    1/5
+    3/40        9/40
+    44/45       -56/15       32/9
+    19372/6561  -25360/2187  64448/6561  -212/729
+    9017/3168   -355/33      46732/5247  49/176    -5103/18656
+    35/384      0            500/1113    125/192   -2187/6784   11/84
+""")
+_E = _rational("-71/57600 0 71/16695 -71/1920 17253/339200 -22/525 1/40")[0]
+_P = _rational("""
+    1  -8048581381/2820520608    8663915743/2820520608      -12715105075/11282082432
+    0  0                         0                          0
+    0  131558114200/32700410799  -68118460800/10900136933   87487479700/32700410799
+    0  -1754552775/470086768     14199869525/1410260304     -10690763975/1880347072
+    0  127303824393/49829197408  -318862633887/49829197408  701980252875/199316789632
+    0  -282668133/205662961      2019193451/616988883       -1453857185/822651844
+    0  40617522/29380423         -110615467/29380423        69997945/29380423
+""")
+
+
+def step_polynomials():
+    """One Dormand-Prince step for y' = L y as polynomials in z = hL, exact.
+
+    Returns (y_new, error, dense): y_new[i] and error[i] are the
+    coefficients of z^i y, i = 0..7, in the fifth-order solution and in the
+    error estimate h sum_s E_s k_s; row i - 1 of the 7 x 4 `dense` is what
+    z^i y, i = 1..7, contributes to RK45's dense-output coefficients
+    h K^T P.
+    """
+    k = []  # h k_s as the coefficients of z^0..z^7 y
+    for row in [[], *_A]:
+        state = [int(i == 0) + sum(a * kj[i] for a, kj in zip(row, k))
+                 for i in range(8)]
+        k.append([Fraction(0), *state[:7]])
+    y_new = state  # the state of stage 6, from the last row of _A
+    error = [sum(e * kj[i] for e, kj in zip(_E, k)) for i in range(8)]
+    dense = [[sum(kj[i] * p[col] for kj, p in zip(k, _P)) for col in range(4)]
+             for i in range(1, 8)]
+    return y_new, error, dense
+
+
 def test_step_polynomials_are_the_closed_forms():
+    # The kernel's coefficients, derived exactly from the stage tableau:
+    # every float `run` hands the compiled pass is the nearest float to
+    # the exact coefficient.
     y_new, error, dense = step_polynomials()
     F = Fraction
     assert y_new == [1, 1, F(1, 2), F(1, 6), F(1, 24), F(1, 120), F(1, 600), 0]
@@ -147,6 +204,18 @@ def _import_fmoheom(cache):
     subprocess.run([sys.executable, "-c", "import fmoheom"], env=env,
                    check=True, capture_output=True, timeout=120)
     return sorted((cache / "fmoheom").iterdir())
+
+
+def test_cli_import_loads_no_exact_arithmetic():
+    # `heom` writes the step coefficients out as floats. Deriving them at
+    # import with fractions, which imports decimal, costs every process
+    # about 0.4 MB of peak RSS.
+    code = ("import sys, fmoheom.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 def test_first_import_builds_one_library_then_reuses_it(tmp_path):

@@ -99,8 +99,9 @@ class TestExcitonBasis:
 
 class TestFretState:
     def test_weights_x1(self, basis):
-        assert abs(basis.weight(3, 1) - 0.769) < 5e-3
-        assert abs(basis.weight(6, 1) - 0.208) < 5e-3
+        # The population weight |c_rx|^2 of excitons 3 and 6 on site 1.
+        assert abs(basis.coeffs[2, 0] ** 2 - 0.769) < 5e-3
+        assert abs(basis.coeffs[5, 0] ** 2 - 0.208) < 5e-3
 
     def test_site_populations_x1(self, basis):
         rho = fret_state(1, basis)
