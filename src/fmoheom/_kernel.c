@@ -6,16 +6,19 @@
  * of R' Y is n_k (a_re + i a_im), -gamma |n| / 2 and i times row k of Y of
  * the down neighbour c - e_k, of c and of the up neighbour c + e_k (row k
  * and column k of that node's Q), and writes dQ = Re P' - (Im P')^T. X =
- * i H^T - diag(r) is read as the real matrix H^T and the trap rates r. A
- * row of 7 doubles is held as one 8-double vector with a zero eighth lane,
- * so every product is a broadcast times a vector.
+ * i H^T - diag(r) is read as the real matrix H^T and the trap rates r. The
+ * damping, the diagonal of R', acts on Y as the trap rates do, so one rate
+ * vector r + gamma |n| / 2 applies both and only the neighbours are
+ * gathered. A row of 7 doubles is held as one 8-double vector with a zero
+ * eighth lane, so every product is a broadcast times a vector.
  *
  * heom_step finishes a Dormand-Prince step written as a polynomial in h L,
  * from the chain w_i = L^i y, i = 1..7, that the caller has formed with
  * heom_rhs: in one pass over the nodes it returns the RMS norm of the
- * error estimate and writes y_new and f(y_new), whether or not the caller
- * then accepts the step. It takes the addresses of w_1..w_7 as one array,
- * because the buffers change roles.
+ * error estimate, with one error scale per Hermitian pair of entries, and
+ * writes y_new and f(y_new), whether or not the caller then accepts the
+ * step. It takes the addresses of w_1..w_7 as one array, because the
+ * buffers change roles.
  * Each function takes the node count first. Every array is C-contiguous
  * and checked by the caller; nothing is allocated here.
  */
@@ -57,16 +60,20 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
               const int64_t *down, const int64_t *up, double a_re, double a_im,
               double gamma, const double *q, double *out)
 {
-    v8 hl[N], rate = row(r);
+    v8 hl[N], r8 = row(r);
     for (int l = 0; l < N; l++)
         hl[l] = row(h + l * N);
     for (long c = 0; c < count; c++) {
         const double *qc = q + c * NN;
         const int64_t *nc = n + c * N, *dc = down + c * N, *uc = up + c * N;
-        v8 pr[N], pi[N];
-        /* P' = Y X with Y = Q - i Q^T and X = i h - diag(r): row a of Y is
-         * row a of Q minus i times column a, so Re P'_a = sum_l Q_la h_l -
-         * r (.) row a of Q and Im P'_a = sum_l Q_al h_l + r (.) column a. */
+        double depth = 0.0;
+        for (int k = 0; k < N; k++)
+            depth += (double)nc[k];
+        v8 rate = r8 + 0.5 * gamma * depth, pr[N], pi[N];
+        /* P' = Y X - gamma |n| / 2 Y = Y (i h - diag(rate)) with Y = Q - i Q^T:
+         * row a of Y is row a of Q minus i times column a, so Re P'_a = sum_l
+         * Q_la h_l - rate (.) row a of Q and Im P'_a = sum_l Q_al h_l + rate
+         * (.) column a. */
         for (int a = 0; a < N; a++) {
             v8 sr = qc[a] * hl[0], si = qc[a * N] * hl[0];
             for (int l = 1; l < N; l++) {
@@ -76,15 +83,11 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
             pr[a] = sr - row(qc + a * N) * rate;
             pi[a] = si + col(qc + a) * rate;
         }
-        /* P' += R' Y: down neighbour, damping, up neighbour */
-        double depth = 0.0;
-        for (int k = 0; k < N; k++)
-            depth += (double)nc[k];
+        /* P' += the off-diagonal part of R' Y: down and up neighbours */
         for (int k = 0; k < N; k++) {
             if (dc[k] >= 0)
                 couple(q + dc[k] * NN, k, (double)nc[k] * a_re, (double)nc[k] * a_im,
                        &pr[k], &pi[k]);
-            couple(qc, k, -0.5 * gamma * depth, 0.0, &pr[k], &pi[k]);
             if (uc[k] >= 0)
                 couple(q + uc[k] * NN, k, 0.0, 1.0, &pr[k], &pi[k]);
         }
@@ -113,7 +116,12 @@ static void scale_by_powers(int m, const double *c, double h, double *out)
 /* RMS over every entry of err / scale, with the error estimate err =
  * sum_{i=1..7} e_i h^i w_i and scale = atol + rtol max(|zeta_ij|,
  * |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the
- * modulus of the complex entry that Q stores. The same pass writes y_new =
+ * modulus of the complex entry that Q stores. |zeta_ij| = |zeta_ji|, so
+ * one square root and one division serve the pair i <= j. The squares are
+ * stored before a pair adds them, so no fused multiply-add makes the sum
+ * depend on the order of the pair, and the two entries of a pair in the
+ * RMS sum are added first: Q^T, that is zeta*, has the norm of Q bit for
+ * bit, as in RK45 on the complex state. The same pass writes y_new =
  * y + sum_{i=1..6} c_i h^i w_i and f(y_new) = w_1 + sum_{i=1..6} c_i h^i
  * w_{i+1}. w holds the addresses of w_1..w_7, c the six and e the seven
  * coefficients. y_new and f_new may be buffers of w (w_7's and w_6's in
@@ -128,9 +136,10 @@ double heom_step(long count, const double *c, const double *e, double h,
     scale_by_powers(STEPS, e, h, eh);
     for (long node = 0; node < count; node++) {
         long o = node * NN;
-        double yn[NN], f[NN], err[NN];
+        const double *yc = y + o;
+        double yn[NN], f[NN], err[NN], sq[NN], sq_new[NN], inv[NN];
         for (int i = 0; i < NN; i++) {
-            yn[i] = y[o + i];
+            yn[i] = yc[i];
             f[i] = w[0][o + i];
             err[i] = eh[STEPS - 1] * w[STEPS - 1][o + i];
         }
@@ -142,19 +151,27 @@ double heom_step(long count, const double *c, const double *e, double h,
                 err[i] += eh[j] * wj[i];
             }
         }
-        const double *yc = y + o;
-        for (int a = 0; a < N; a++)
-            for (int b = 0; b < N; b++) {
-                double u = yc[a * N + b], v = yc[b * N + a];
-                double s = yn[a * N + b], t = yn[b * N + a];
-                double r = err[a * N + b] /
-                           (sqrt(fmax(u * u + v * v, s * s + t * t)) * factor + atol);
-                sum[a * N + b] += r * r;
+        for (int i = 0; i < NN; i++) {
+            sq[i] = yc[i] * yc[i];
+            sq_new[i] = yn[i] * yn[i];
+        }
+        for (int a = 0; a < N; a++) /* one scale per pair */
+            for (int b = a; b < N; b++) {
+                double m = fmax(sq[a * N + b] + sq[b * N + a],
+                                sq_new[a * N + b] + sq_new[b * N + a]);
+                inv[a * N + b] = inv[b * N + a] = 1.0 / (sqrt(m) * factor + atol);
             }
+        for (int i = 0; i < NN; i++) {
+            double r = err[i] * inv[i];
+            sum[i] += r * r;
+        }
         memcpy(y_new + o, yn, sizeof yn);
         memcpy(f_new + o, f, sizeof f);
     }
-    for (int i = 0; i < NN; i++)
-        total += sum[i];
+    for (int a = 0; a < N; a++) {
+        total += sum[a * N + a];
+        for (int b = a + 1; b < N; b++)
+            total += sum[a * N + b] + sum[b * N + a];
+    }
     return sqrt(total / (double)(count * NN));
 }

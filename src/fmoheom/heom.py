@@ -36,6 +36,9 @@ Re P' - (Im P')^T, once. Row k of R' Y is the three terms of P for site
 k, read from the hierarchy's tables: n_k (b + i a), -gamma |n| / 2 and i
 times row k of Y of n - e_k (when n_k > 0), of n, and of n + e_k (when
 within the truncation). Row k of Y of a node is row k and column k of its Q.
+The middle term, the diagonal of R', acts on Y as the trap rates in X do,
+so the kernel applies both through one rate vector r + gamma |n| / 2 and
+gathers only the two neighbours.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45. The generator L is linear and reads no
@@ -62,7 +65,9 @@ stays linear and time-independent: a time-dependent term, such as a
 pulsed field, would need the stage sums back. Step control, dense output
 and sampling stay here. The error norm is taken over the moduli
 |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
-complex state, so the step sequence is that of RK45 on zeta. The loop
+complex state, so the step sequence is that of RK45 on zeta. As |zeta_ij|
+= |zeta_ji|, the pass takes one scale per pair i <= j and divides both of
+its error entries by it; the RMS still runs over all n * n entries. The loop
 ends at exactly t_end, the last time of `SystemParams.output_times()`;
 the dense output of each step, node 0 of h^i w_i times the constant
 7 x 4 matrix K^T P of RK45's interpolant with K written in the w basis,

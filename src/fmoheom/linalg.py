@@ -28,11 +28,12 @@ def check_hermitian(a, rtol=1e-9, name="matrix"):
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
-    defect = np.max(np.abs(a - a.conj().swapaxes(-2, -1)), axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(defect > rtol * scale)
-    if bad.size:
-        d, s = defect.flat[bad[0]], scale.flat[bad[0]]
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    defect = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    bad = defect > rtol * scale
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        d, s = defect.flat[i], scale.flat[i]
         raise NonHermitianError(
             f"{name} is not Hermitian: defect {d:.3e} exceeds "
             f"{rtol:.1e} * max|entry| = {rtol * s:.3e}"

@@ -87,6 +87,23 @@ def test_update_matches_numpy(count):
         assert np.array_equal(now, then)
 
 
+@pytest.mark.parametrize("count", [1, 36])
+def test_step_commutes_with_conjugation(count):
+    # zeta -> zeta* is Q -> Q^T in every node. RK45's error norm on the
+    # complex state does not see it, and the pass sums each pair's squares
+    # in a form that swapping them leaves unchanged, so the norm is the same
+    # float; y_new and f(y_new) come back transposed. Entries of one scale
+    # make every pair count in the sum; a sum whose rounding depends on the
+    # order of a pair differs within a few of these draws.
+    for seed in range(50):
+        y, *w = np.random.default_rng(seed).normal(size=(8, count, 7, 7))
+        yt, *wt = (np.ascontiguousarray(x.transpose(0, 2, 1)) for x in [y, *w])
+        norm = step(count, 0.37, 1e-10, 1e-8, y, w)
+        assert step(count, 0.37, 1e-10, 1e-8, yt, wt) == norm, seed
+        assert np.array_equal(wt[6], w[6].transpose(0, 2, 1))
+        assert np.array_equal(wt[5], w[5].transpose(0, 2, 1))
+
+
 def test_load_declares_every_exported_function():
     # Without a restype ctypes reads a double result as an int, and without
     # argtypes it passes Python floats wrongly; neither raises.
