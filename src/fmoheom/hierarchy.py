@@ -81,7 +81,8 @@ def enumerate_hierarchy(n_sites, depth_max):
     order = np.argsort(keys)
     indices, keys = indices[order], keys[order]
 
+    # One site column at a time, so the queries arrive in increasing order.
     minus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
-    has_minus = indices > 0
-    minus[has_minus] = np.searchsorted(keys, (keys[:, None] - step)[has_minus])
+    for k, has_minus in enumerate((indices > 0).T):
+        minus[has_minus, k] = np.searchsorted(keys, keys[has_minus] - step[k])
     return HierarchyIndexSpace(indices=indices, neighbors_minus=minus)

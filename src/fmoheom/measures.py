@@ -62,7 +62,7 @@ def reduce_pair(rho, m, n):
         raise ValueError("pair sites must differ")
     if m > n:
         m, n = n, m
-    rho = check_hermitian(rho, rtol=1e-6, name="full state")
+    rho = check_hermitian(rho, name="full state")
     dim = rho.shape[-1]
     if not (1 <= m <= dim and 1 <= n <= dim):
         raise ValueError(f"pair ({m},{n}) outside 1..{dim}")
@@ -87,7 +87,7 @@ def reduce_pair(rho, m, n):
 
 def correlation_matrix(rho4):
     """3x3 Pauli correlation matrix t_ab = Tr(rho sigma_a x sigma_b)."""
-    rho4 = check_hermitian_matrix(rho4, rtol=1e-6, name="pair state")
+    rho4 = check_hermitian_matrix(rho4, name="pair state")
     return np.einsum("ij,abji->ab", rho4, PAULI_PAIRS).real
 
 
@@ -145,7 +145,7 @@ def wootters_concurrence(rho4):
     single-excitation reduced states this equals 2|rho_mn| including the
     trace-deficient case.
     """
-    rho4 = check_hermitian_matrix(rho4, rtol=1e-6, name="pair state")
+    rho4 = check_hermitian_matrix(rho4, name="pair state")
     evals, vecs = np.linalg.eigh(rho4)
     if evals[0] < -1e-8 * max(evals[-1], 1.0):
         raise ValueError(f"pair state is not positive (min eigenvalue {evals[0]:.3e})")
@@ -157,10 +157,10 @@ def wootters_concurrence(rho4):
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
 
 
-def positivity_bound_check(reduced, tol=1e-9):
-    """|rho_mn| <= sqrt(rho_mm rho_nn), forced by positivity of the pair state."""
+def positivity_bound_check(reduced):
+    """|rho_mn| <= sqrt(rho_mm rho_nn) (+ 1e-9), forced by positivity of the pair."""
     bound = np.sqrt(np.maximum(reduced.pop_m, 0.0) * np.maximum(reduced.pop_n, 0.0))
-    return np.abs(reduced.coherence) <= bound + tol
+    return np.abs(reduced.coherence) <= bound + 1e-9
 
 
 @dataclass(frozen=True)

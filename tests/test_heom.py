@@ -13,7 +13,7 @@ from fmoheom.heom import (
     to_real,
 )
 from fmoheom.linalg import NonHermitianError
-from fmoheom.model import SystemParams, localized_state
+from fmoheom.model import SystemParams, fret_state, localized_state
 
 from conftest import random_hermitian
 from heom_reference import (
@@ -407,6 +407,26 @@ class TestIntegration:
         assert stats.nfev == calls[0] == 1 + 6 * stats.accepted
         assert stats.min_step_fs == prop.config.initial_step_fs
         assert stats.max_step_fs <= prop.config.max_step_fs
+
+    def test_max_step_exceeds_the_cap_by_at_most_one_ulp(self):
+        # The stats report the accepted h = t_new - t, rounded as RK45
+        # rounds it: a capped step can read above the cap, never by more
+        # than one ulp of t_new (at most t_end).
+        params = SystemParams(truncation_N=3, t_end_fs=1000.0, dt_out_fs=1000.0)
+        prop = HEOMPropagator(params)
+        stats = prop.run(localized_state(1)).stats
+        cap = prop.config.max_step_fs
+        assert cap < stats.max_step_fs <= cap + np.spacing(params.t_end_fs)
+
+    @pytest.mark.parametrize("start", ["localized", "fret"])
+    def test_states_are_hermitian_bit_for_bit(self, basis, start):
+        # linalg's one Hermiticity tolerance rests on this: the starts and
+        # every state run returns equal their conjugate transposes exactly.
+        rho0 = localized_state(1) if start == "localized" else fret_state(6, basis)
+        assert np.array_equal(rho0, rho0.conj().T)
+        params = SystemParams(truncation_N=2, t_end_fs=100.0, dt_out_fs=1.0)
+        rhos = HEOMPropagator(params).run(rho0).rhos
+        assert np.array_equal(rhos, rhos.conj().swapaxes(-2, -1))
 
     def test_run_frees_the_integrator(self):
         # Stages, work arrays and error scratch are owned by one call:

@@ -4,14 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmoheom.linalg import (
+    HERMITIAN_RTOL,
     NonHermitianError,
     PAULI,
     check_hermitian,
     hermitian_eigen,
     trace_distance,
 )
-from fmoheom.measures import horodecki_M, wootters_concurrence
-from fmoheom.model import FMO_HAMILTONIAN_CM
+from fmoheom.measures import (
+    correlation_matrix,
+    horodecki_M,
+    reduce_pair,
+    wootters_concurrence,
+)
+from fmoheom.model import FMO_HAMILTONIAN_CM, localized_state
 
 from conftest import random_hermitian, random_pair_state
 from heom_reference import anticommutator, commutator
@@ -50,17 +56,34 @@ class TestCheckHermitian:
             check_hermitian(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("func", [
-        lambda s: trace_distance(s, s),
         hermitian_eigen,
         horodecki_M,
         wootters_concurrence,
-    ], ids=["trace_distance", "hermitian_eigen", "horodecki_M",
-            "wootters_concurrence"])
+    ], ids=["hermitian_eigen", "horodecki_M", "wootters_concurrence"])
     def test_single_matrix_functions_reject_stacks(self, func):
         rng = np.random.default_rng(9)
         stack = np.array([random_pair_state(rng)[0] for _ in range(3)])
         with pytest.raises(ValueError, match="one matrix"):
             func(stack)
+
+    @pytest.mark.parametrize("func,rho", [
+        (lambda a: trace_distance(a, a), localized_state(1)),
+        (hermitian_eigen, localized_state(1)),
+        (lambda a: reduce_pair(a, 1, 2), np.stack([localized_state(1)] * 2)),
+        (correlation_matrix, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (wootters_concurrence, np.diag([0.5, 0.25, 0.25, 0.0])),
+    ], ids=["trace_distance", "hermitian_eigen", "reduce_pair",
+            "correlation_matrix", "wootters_concurrence"])
+    def test_every_input_meets_one_tolerance(self, func, rho):
+        # A defect just inside HERMITIAN_RTOL passes, ten times more fails.
+        def with_defect(factor):
+            a = np.array(rho, dtype=complex)
+            a[..., 0, 1] += 1j * factor * HERMITIAN_RTOL
+            return a
+
+        func(with_defect(0.9))
+        with pytest.raises(NonHermitianError):
+            func(with_defect(10.0))
 
 
 class TestHermitianEigen:
@@ -124,8 +147,23 @@ class TestTraceDistance:
         assert abs(trace_distance(a, b) - 0.5) < 1e-14
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_distance(np.eye(2), np.eye(3))
+        for a, b in [(np.eye(2), np.eye(3)),
+                     (np.zeros((3, 4, 4)), np.zeros((2, 4, 4))),
+                     (np.zeros((3, 4, 4)), np.eye(4))]:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                trace_distance(a, b)
+
+    def test_stacks_match_pairwise_calls_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = np.array([random_hermitian(rng, 7) for _ in range(6)])
+        b = np.array([random_hermitian(rng, 7) for _ in range(6)])
+        stacked = trace_distance(a, b)
+        assert stacked.shape == (6,)
+        pairwise = [trace_distance(x, y) for x, y in zip(a, b)]
+        assert all(type(d) is float for d in pairwise)
+        assert stacked.tolist() == pairwise
+        assert trace_distance(a.reshape(2, 3, 7, 7),
+                              b.reshape(2, 3, 7, 7)).ravel().tolist() == pairwise
 
     def test_metric_properties(self):
         rng = np.random.default_rng(3)
