@@ -17,8 +17,7 @@
  * heom_rhs: in one pass over the nodes it returns the RMS norm of the
  * error estimate, with one error scale per Hermitian pair of entries, and
  * writes y_new and f(y_new), whether or not the caller then accepts the
- * step. It takes the addresses of w_1..w_7 as one array, because the
- * buffers change roles.
+ * step.
  * Each function takes the node count first. Every array is C-contiguous
  * and checked by the caller; nothing is allocated here.
  */
@@ -28,7 +27,7 @@
 
 #define N 7    /* sites: a node is N x N */
 #define NN (N * N)
-#define STEPS 7  /* w_1..w_7 of a Dormand-Prince step */
+#define STEPS 7  /* w_1..w_7 of a Dormand-Prince step, s[1..7] of heom_step */
 
 typedef double v8 __attribute__((vector_size(64)));
 
@@ -121,14 +120,12 @@ static void scale_by_powers(int m, const double *c, double h, double *out)
  * stored before a pair adds them, so no fused multiply-add makes the sum
  * depend on the order of the pair, and the two entries of a pair in the
  * RMS sum are added first: Q^T, that is zeta*, has the norm of Q bit for
- * bit, as in RK45 on the complex state. The same pass writes y_new =
- * y + sum_{i=1..6} c_i h^i w_i and f(y_new) = w_1 + sum_{i=1..6} c_i h^i
- * w_{i+1}. w holds the addresses of w_1..w_7, c the six and e the seven
- * coefficients. y_new and f_new may be buffers of w (w_7's and w_6's in
- * the caller): each node is read from every state before it is written. */
+ * bit, as in RK45 on the complex state. s holds the addresses of y,
+ * w_1..w_7, c the six and e the seven coefficients. Each node is read from
+ * all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i is written
+ * into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1} into s[6]. */
 double heom_step(long count, const double *c, const double *e, double h,
-                 double atol, double rtol, const double *y,
-                 const double *const w[STEPS], double *y_new, double *f_new)
+                 double atol, double rtol, double *const s[STEPS + 1])
 {
     double ch[STEPS - 1], eh[STEPS], sum[NN] = {0.0}, total = 0.0;
     double factor = rtol / sqrt(2.0);
@@ -136,15 +133,15 @@ double heom_step(long count, const double *c, const double *e, double h,
     scale_by_powers(STEPS, e, h, eh);
     for (long node = 0; node < count; node++) {
         long o = node * NN;
-        const double *yc = y + o;
+        const double *yc = s[0] + o;
         double yn[NN], f[NN], err[NN], sq[NN], sq_new[NN], inv[NN];
         for (int i = 0; i < NN; i++) {
             yn[i] = yc[i];
-            f[i] = w[0][o + i];
-            err[i] = eh[STEPS - 1] * w[STEPS - 1][o + i];
+            f[i] = s[1][o + i];
+            err[i] = eh[STEPS - 1] * s[STEPS][o + i];
         }
         for (int j = 0; j < STEPS - 1; j++) {
-            const double *wj = w[j] + o, *wk = w[j + 1] + o;
+            const double *wj = s[j + 1] + o, *wk = s[j + 2] + o;
             for (int i = 0; i < NN; i++) {
                 yn[i] += ch[j] * wj[i];
                 f[i] += ch[j] * wk[i];
@@ -165,8 +162,8 @@ double heom_step(long count, const double *c, const double *e, double h,
             double r = err[i] * inv[i];
             sum[i] += r * r;
         }
-        memcpy(y_new + o, yn, sizeof yn);
-        memcpy(f_new + o, f, sizeof f);
+        memcpy(s[7] + o, yn, sizeof yn);
+        memcpy(s[6] + o, f, sizeof f);
     }
     for (int a = 0; a < N; a++) {
         total += sum[a * N + a];

@@ -53,17 +53,19 @@ and the error estimate,
 and by the dense output of RK45's quartic interpolant (Shampine, Math.
 Comp. 46, 135 (1986)) in the same form.
 
+The loop owns eight state-sized buffers as one list, [y, w_1, ..., w_7].
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
 w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass
-(`_kernel.c`) then returns the RMS norm of the error estimate and writes
-y_new = y + sum_i c_i h^i w_i into w_7's buffer and f(y_new) = w_1 +
-sum_i c_i h^i w_(i+1) into w_6's. On acceptance y and w_1 take those two
-buffers, and the old y and w_1 become w_6 and w_7. The loop owns eight
-state-sized buffers, y and w_1..w_7; a rejected attempt recomputes the
-chain from the untouched w_1. This form holds only while the generator
-stays linear and time-independent: a time-dependent term, such as a
-pulsed field, would need the stage sums back. Step control, dense output
-and sampling stay here. The error norm is taken over the moduli
+(`_kernel.c`) then reads all eight buffers, returns the RMS norm of the
+error estimate and writes y_new = y + sum_i c_i h^i w_i into w_7's buffer
+and f(y_new) = w_1 + sum_i c_i h^i w_(i+1) into w_6's. Acceptance permutes
+the list by `_ACCEPT`: y and w_1 take those two buffers, and the old w_1
+and y become w_6 and w_7. A rejected attempt recomputes the chain from
+the untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
+This form holds only while the generator stays linear and
+time-independent: a time-dependent term, such as a pulsed field, would
+need the stage sums back. Step control, dense output and sampling stay
+here. The error norm is taken over the moduli
 |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
 complex state, so the step sequence is that of RK45 on zeta. As |zeta_ij|
 = |zeta_ji|, the pass takes one scale per pair i <= j and divides both of
@@ -82,7 +84,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernel, linalg
-from .hierarchy import NO_NEIGHBOR, enumerate_hierarchy
+from .hierarchy import enumerate_hierarchy
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
 # The step polynomials of the module docstring as the coefficients of
@@ -102,6 +104,8 @@ _DENSE = np.array([
     [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
     [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
 ])
+# Buffer i of [y, w_1, ..., w_7] after an accepted step is _ACCEPT[i] before.
+_ACCEPT = (7, 6, 2, 3, 4, 5, 1, 0)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
@@ -182,16 +186,11 @@ class HEOMPropagator:
         # The kernel reads X = i H_eff^dagger = i H^T - diag(r) as H^T and r.
         self._h = np.ascontiguousarray((params.hamiltonian_cm * CM_TO_RADFS).T)
         self._r = np.zeros(N_SITES)
-        self._r[np.subtract(params.trap_sites, 1)] = params.trap_rate_inv_fs
-
-        # The kernel reads R' from the hierarchy's tables (module docstring);
-        # the up neighbour of n along k is the node whose down neighbour is n.
-        down = space.neighbors_minus
-        self._up = np.full_like(down, NO_NEIGHBOR)
-        node, site = np.nonzero(down >= 0)
-        self._up[down[node, site], site] = node
-        self._args = kernel.bind(self.count, self._h, self._r, space.indices, down,
-                                 self._up, complex(lam * gamma, 2.0 * lam * kT), gamma)
+        self._r[[s - 1 for s in params.trap_sites]] = params.trap_rate_inv_fs
+        # The kernel reads R' from the hierarchy's tables (module docstring).
+        self._args = kernel.bind(self.count, self._h, self._r, space.indices,
+                                 space.neighbors_minus, space.neighbors_plus,
+                                 complex(lam * gamma, 2.0 * lam * kT), gamma)
 
     @property
     def count(self):
@@ -238,29 +237,21 @@ class HEOMPropagator:
         stays flat in the grid size.
         """
         times = self.params.output_times()
-        t_end, n_out = float(times[-1]), times.size - 1
+        t_end = float(times[-1])
         y = self.initial_hierarchy(rho0)
-        samples = np.empty((n_out + 1, N_SITES, N_SITES))
+        samples = np.empty((times.size, N_SITES, N_SITES))
         samples[0] = y[0]
 
         cfg = self.config
-        # Eight state-sized buffers: y and the chain w_1..w_7, w_j = L^j y.
-        # The compiled pass of every attempt writes y_new into w_7's buffer
-        # and f(y_new) into w_6's, which the attempt no longer needs; it only
-        # reads y and w_1 = f(y), so a rejected attempt still finds them. On
-        # acceptance the roles rotate: y and w_1 take those two buffers, and
-        # the old y and w_1 become w_6 and w_7.
-        w = [*np.empty((7,) + y.shape)]
+        # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
+        # addresses, permuted together; the buffers live until the loop ends.
+        s = [y, *np.empty((7,) + y.shape)]
+        addresses = (ctypes.c_void_p * 8)(*(b.ctypes.data for b in s))
         powers = np.arange(1, 8)[:, None]
-        # The compiled pass takes raw addresses of these buffers, which live
-        # until the loop ends.
-        step = kernel.LIB.heom_step
-        wp = (ctypes.c_void_p * 7)(*(wj.ctypes.data for wj in w))
-        yp, c, e = y.ctypes.data, _Y_NEW.ctypes.data, _ERROR.ctypes.data
+        step, c, e = kernel.LIB.heom_step, _Y_NEW.ctypes.data, _ERROR.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
-        self.rhs(t, y, out=w[0])
-        nfev, accepted, rejected, h_min, h_max = 1, 0, 0, math.inf, 0.0
-        next_i = 1
+        self.rhs(t, y, out=s[1])
+        accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 1
         while t < t_end:
             min_step = 10 * abs(np.nextafter(t, math.inf) - t)
             h_abs = min(max(h_abs, min_step), cfg.max_step_fs)
@@ -274,15 +265,16 @@ class HEOMPropagator:
                 h = h_abs = t_new - t
                 # The generator reads no time; every call gets the step's start.
                 for j in range(1, 7):
-                    self.rhs(t, w[j - 1], out=w[j])
-                nfev += 6
-                if next_i <= n_out and times[next_i] <= t_new + 1e-12:
+                    self.rhs(t, s[j], out=s[j + 1])
+                # Samples next_i..covered - 1 are due by t_new, to 1e-12 fs.
+                covered = np.searchsorted(times, t_new + 1e-12, side="right")
+                if covered > next_i:
                     # RK45's dense output restricted to the physical block,
                     # read before the pass overwrites w_6 and w_7.
-                    phys = np.stack([wj[0] for wj in w]).reshape(7, -1)
+                    phys = np.stack([b[0] for b in s[1:]]).reshape(7, -1)
                     poly = phys.T @ (h ** powers * _DENSE)
                 error_norm = step(self.count, c, e, h, cfg.abs_tol, cfg.rel_tol,
-                                  yp, wp, wp[6], wp[5])
+                                  addresses)
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -297,15 +289,15 @@ class HEOMPropagator:
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
 
-            while next_i <= n_out and times[next_i] <= t_new + 1e-12:
-                x = (min(times[next_i], t_new) - t) / h
+            for i in range(next_i, covered):
+                x = (min(times[i], t_new) - t) / h
                 p = np.cumprod(np.full(poly.shape[1], x))
-                samples[next_i] = (poly @ p).reshape(N_SITES, N_SITES) + y[0]
-                next_i += 1
-            t, y, w[0], w[5], w[6] = t_new, w[6], w[5], y, w[0]
-            yp, wp[0], wp[5], wp[6] = wp[6], wp[5], yp, wp[0]
-        stats = IntegratorStats(nfev=nfev, accepted=accepted, rejected=rejected,
-                                min_step_fs=h_min, max_step_fs=h_max)
+                samples[i] = (poly @ p).reshape(N_SITES, N_SITES) + s[0][0]
+            t, next_i = t_new, covered
+            s = [s[i] for i in _ACCEPT]
+            addresses = (ctypes.c_void_p * 8)(*(addresses[i] for i in _ACCEPT))
+        stats = IntegratorStats(nfev=1 + 6 * (accepted + rejected), accepted=accepted,
+                                rejected=rejected, min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),
                           hierarchy_count=self.count, stats=stats)
 

@@ -2,12 +2,14 @@
 
 Multi-indices n = (n_1, ..., n_K) with sum(n) <= N are laid out in graded
 lexicographic order (by depth, then lexicographically within a depth) and
-addressed by a flat rank. The hierarchy holds one neighbour table: the
+addressed by a flat rank. The hierarchy holds both neighbour tables: the
 rank of n with n_k decremented, found once by binary search over integer
-keys that increase in that order. The up-neighbour of n along k is the
-node whose down-neighbour along k is n, so the table holds every edge.
+keys that increase in that order, and the rank of n with n_k incremented,
+one scatter of the first: the up-neighbour of n along k is the node whose
+down-neighbour along k is n.
 """
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -16,8 +18,12 @@ import numpy as np
 # Refuse to enumerate hierarchies that would not fit in memory anyway.
 MAX_NODES = 5_000_000
 
-# Sentinel rank for a missing down-neighbour (n_k = 0).
+# Sentinel rank for a missing neighbour: n_k = 0 down, depth_max up.
 NO_NEIGHBOR = -1
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def hierarchy_count(n_sites, depth_max):
@@ -46,14 +52,11 @@ def _graded_keys(indices, depth_max):
 
 @dataclass(frozen=True)
 class HierarchyIndexSpace:
-    """Flat index space over the hierarchy with its neighbour table.
+    """Flat index space over the hierarchy with its two neighbour tables."""
 
-    neighbors_minus[i, k] is the rank of indices[i] with n_k decremented,
-    or NO_NEIGHBOR when n_k = 0.
-    """
-
-    indices: np.ndarray          # (count, n_sites)
-    neighbors_minus: np.ndarray  # (count, n_sites)
+    indices: np.ndarray          # (count, n_sites): row i is the multi-index n
+    neighbors_minus: np.ndarray  # (count, n_sites): rank of n - e_k or NO_NEIGHBOR
+    neighbors_plus: np.ndarray   # (count, n_sites): rank of n + e_k or NO_NEIGHBOR
 
     @property
     def count(self):
@@ -62,6 +65,9 @@ class HierarchyIndexSpace:
 
 def enumerate_hierarchy(n_sites, depth_max):
     """Build the HierarchyIndexSpace for sum(n) <= depth_max."""
+    for name, value in (("n_sites", n_sites), ("depth_max", depth_max)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if depth_max < 0:
         raise ValueError("truncation depth must be nonnegative")
     count = hierarchy_count(n_sites, depth_max)
@@ -85,4 +91,8 @@ def enumerate_hierarchy(n_sites, depth_max):
     minus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
     for k, has_minus in enumerate((indices > 0).T):
         minus[has_minus, k] = np.searchsorted(keys, keys[has_minus] - step[k])
-    return HierarchyIndexSpace(indices=indices, neighbors_minus=minus)
+    plus = np.full_like(minus, NO_NEIGHBOR)
+    node, site = np.nonzero(minus != NO_NEIGHBOR)
+    plus[minus[node, site], site] = node
+    return HierarchyIndexSpace(indices=indices, neighbors_minus=minus,
+                               neighbors_plus=plus)

@@ -45,9 +45,8 @@ def bind(count, h, r, n, down, up, a, gamma):
     """The constant leading arguments of `heom_rhs`: count, the addresses of
     h = Im X (7 x 7 float64) and of the trap rates r (7 float64), so that
     X = i h - diag(r), and of the int64 count x 7 tables n, down and up
-    (neighbour ranks, -1 for none), then a.real, a.imag and gamma. Row k of
-    R' Y for node c is n_k a, -gamma |n| / 2 and i times row k of Y of
-    down[c, k], of c and of up[c, k]. The caller keeps the arrays alive."""
+    (neighbour ranks, -1 for none), then a.real, a.imag and gamma. The
+    caller keeps the arrays alive."""
     ptrs = [check("h", h, np.float64, (7, 7)), check("r", r, np.float64, (7,))]
     ptrs += [check(name, table, np.int64, (count, 7))
              for name, table in (("n", n), ("down", down), ("up", up))]
@@ -107,16 +106,15 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    steps = ctypes.POINTER(ptr)  # the addresses of w_1..w_7
     # heom_rhs(count, h, r, n, down, up, a_re, a_im, gamma, q, out)
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_step(count, c, e, h, atol, rtol, y, w, y_new, f_new) with c and e
-    # the polynomial coefficients of y_new and of the error estimate; it
-    # returns the error norm
-    lib.heom_step.argtypes = [long_, ptr, ptr, double, double, double, ptr, steps,
-                              ptr, ptr]
+    # heom_step(count, c, e, h, atol, rtol, s) with c and e the polynomial
+    # coefficients of y_new and of the error estimate and s the addresses of
+    # y, w_1..w_7; it returns the error norm
+    lib.heom_step.argtypes = [long_, ptr, ptr, double, double, double,
+                              ctypes.POINTER(ptr)]
     lib.heom_step.restype = double
     return lib
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import MAX_NODES, hierarchy_count
+from .hierarchy import MAX_NODES, _is_integer, hierarchy_count
 from .linalg import hermitian_eigen
 
 # Chromophores of one FMO monomer.
@@ -57,10 +57,6 @@ def check_finite(name, value, rule="positive"):
         raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def check_site(x, name):
     """Reject a site index that is not an integer in 1..N_SITES (a bool is
     not a site); `name` labels the message."""
@@ -90,7 +86,10 @@ class SystemParams:
     dt_out_fs: float = 1.0
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian_cm, dtype=float)
+        h = np.asarray(self.hamiltonian_cm)
+        if np.any(np.imag(h) != 0):  # the kernel reads H as a real matrix
+            raise ValueError("hamiltonian_cm must be real")
+        h = np.asarray(np.real(h), dtype=float)
         if h.shape != (N_SITES, N_SITES):
             raise ValueError(f"hamiltonian_cm must be {N_SITES}x{N_SITES}")
         if not np.all(np.isfinite(h)):

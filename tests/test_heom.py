@@ -144,6 +144,13 @@ class TestRHS:
         dq = prop.rhs(0.0, to_real(random_hierarchy(rng, prop.count)))
         assert abs(np.trace(dq[0])) < 1e-12
 
+    def test_empty_trap_set_is_no_trapping(self):
+        # No trap site and a zero trap rate give the same generator.
+        props = [HEOMPropagator(SystemParams(truncation_N=2, **kw))
+                 for kw in ({"trap_sites": ()}, {"trap_rate_inv_ps": 0})]
+        q = to_real(random_hierarchy(np.random.default_rng(9), props[0].count))
+        assert np.array_equal(props[0].rhs(0.0, q), props[1].rhs(0.0, q))
+
     def test_top_trace_with_trapping(self, params):
         prop = HEOMPropagator(params)
         rng = np.random.default_rng(5)
@@ -200,8 +207,8 @@ class TestRHS:
     def test_up_table_inverts_down_table(self, n_trunc):
         # Every edge n - e_k -> n (n_k > 0) is read from both ends; a node
         # has no up neighbour along any site exactly when it is at depth N.
-        prop = HEOMPropagator(SystemParams(truncation_N=n_trunc))
-        space, up = prop.space, prop._up
+        space = HEOMPropagator(SystemParams(truncation_N=n_trunc)).space
+        up = space.neighbors_plus
         node, site = np.nonzero(space.indices)
         np.testing.assert_array_equal(up[space.neighbors_minus[node, site], site], node)
         top = space.indices.sum(axis=1) == n_trunc
@@ -427,6 +434,16 @@ class TestIntegration:
         params = SystemParams(truncation_N=2, t_end_fs=100.0, dt_out_fs=1.0)
         rhos = HEOMPropagator(params).run(rho0).rhos
         assert np.array_equal(rhos, rhos.conj().swapaxes(-2, -1))
+
+    def test_complex_hamiltonian_with_zero_imaginary_part(self):
+        # A complex dtype is accepted when every imaginary part is zero, and
+        # integrates the same real Hamiltonian.
+        real = SystemParams(truncation_N=2, t_end_fs=20.0)
+        cplx = SystemParams(truncation_N=2, t_end_fs=20.0,
+                            hamiltonian_cm=real.hamiltonian_cm.astype(complex))
+        runs = [HEOMPropagator(p).run(localized_state(1)) for p in (real, cplx)]
+        assert np.array_equal(runs[0].rhos, runs[1].rhos)
+        assert runs[0].stats == runs[1].stats
 
     def test_run_frees_the_integrator(self):
         # Stages, work arrays and error scratch are owned by one call:

@@ -21,6 +21,16 @@ class TestCounting:
         with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
             enumerate_hierarchy(7, -1)
 
+    @pytest.mark.parametrize("n_sites,depth", [(7, True), (True, 2), (7, 2.5),
+                                               (7.0, 2), (7, "2")])
+    def test_non_integer_arguments_rejected(self, n_sites, depth):
+        # A bool is not a count: enumerate_hierarchy(7, True) would be depth 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            enumerate_hierarchy(n_sites, depth)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert enumerate_hierarchy(np.int64(7), np.int64(2)).count == 36
+
     def test_paper_truncation_level(self):
         assert hierarchy_count(7, 12) == 50388
         assert hierarchy_count(7, 12) == comb(19, 7)
@@ -78,3 +88,6 @@ class TestAdjacency:
                 down = list(row)
                 down[k] -= 1
                 assert space.neighbors_minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)
+                up = list(row)
+                up[k] += 1
+                assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)

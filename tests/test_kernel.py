@@ -35,9 +35,9 @@ def numpy_error_norm(y, y_new, err, atol, rtol):
     return math.sqrt(np.mean((err / scale) ** 2))
 
 
-def addresses(w):
-    """The states w_1..w_7 as the array of addresses the kernel takes."""
-    return (ctypes.c_void_p * 7)(*(wj.ctypes.data for wj in w))
+def addresses(s):
+    """The states y, w_1..w_7 as the array of addresses the kernel takes."""
+    return (ctypes.c_void_p * 8)(*(b.ctypes.data for b in s))
 
 
 def weights(coefficients, h):
@@ -48,9 +48,8 @@ def weights(coefficients, h):
 def step(count, h, atol, rtol, y, w):
     """heom_step as run() calls it: y_new into w_7's buffer, f(y_new) into
     w_6's; returns the error norm."""
-    wp = addresses(w)
     return kernel.LIB.heom_step(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
-                                atol, rtol, y.ctypes.data, wp, wp[6], wp[5])
+                                atol, rtol, addresses([y, *w]))
 
 
 @pytest.mark.parametrize("count", [1, 36, 330])

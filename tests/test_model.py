@@ -54,6 +54,15 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="symmetric"):
             SystemParams(truncation_N=0, hamiltonian_cm=h)
 
+    def test_rejects_complex_entries(self):
+        # The kernel reads H as real: the imaginary parts of a complex
+        # Hermitian H would be dropped.
+        h = FMO_HAMILTONIAN_CM.astype(complex)
+        h[0, 1] += 5j
+        h[1, 0] -= 5j
+        with pytest.raises(ValueError, match="hamiltonian_cm must be real"):
+            SystemParams(truncation_N=0, hamiltonian_cm=h)
+
 
 class TestLocalizedState:
     @pytest.mark.parametrize("x", [1, 6])
