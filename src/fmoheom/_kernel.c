@@ -14,10 +14,10 @@
  *
  * heom_step finishes a Dormand-Prince step written as a polynomial in h L,
  * from the chain w_i = L^i y, i = 1..7, that the caller has formed with
- * heom_rhs: in one pass over the nodes it returns the RMS norm of the
- * error estimate, with one error scale per Hermitian pair of entries, and
- * writes y_new and f(y_new), whether or not the caller then accepts the
- * step.
+ * heom_rhs, and the weights of h^i w_i, which the caller has scaled by h^i:
+ * in one pass over the nodes it returns the RMS norm of the error
+ * estimate, with one error scale per Hermitian pair of entries, and writes
+ * y_new and f(y_new), whether or not the caller then accepts the step.
  * Each function takes the node count first. Every array is C-contiguous
  * and checked by the caller; nothing is allocated here.
  */
@@ -102,16 +102,6 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
     }
 }
 
-/* out[i] = c[i] h^(i+1), i < m: the weights of h^i w_i. */
-static void scale_by_powers(int m, const double *c, double h, double *out)
-{
-    double hi = 1.0;
-    for (int i = 0; i < m; i++) {
-        hi *= h;
-        out[i] = c[i] * hi;
-    }
-}
-
 /* RMS over every entry of err / scale, with the error estimate err =
  * sum_{i=1..7} e_i h^i w_i and scale = atol + rtol max(|zeta_ij|,
  * |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the
@@ -121,16 +111,18 @@ static void scale_by_powers(int m, const double *c, double h, double *out)
  * depend on the order of the pair, and the two entries of a pair in the
  * RMS sum are added first: Q^T, that is zeta*, has the norm of Q bit for
  * bit, as in RK45 on the complex state. s holds the addresses of y,
- * w_1..w_7, c the six and e the seven coefficients. Each node is read from
- * all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i is written
- * into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1} into s[6]. */
-double heom_step(long count, const double *c, const double *e, double h,
-                 double atol, double rtol, double *const s[STEPS + 1])
+ * w_1..w_7, and weights the six c_i h^i, then the seven e_i h^i. Each node
+ * is read from all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i
+ * is written into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1}
+ * into s[6]. */
+double heom_step(long count, const double *weights, double atol, double rtol,
+                 double *const s[STEPS + 1])
 {
+    /* Local copies, not reloaded after each node's stores into s[6], s[7]. */
     double ch[STEPS - 1], eh[STEPS], sum[NN] = {0.0}, total = 0.0;
     double factor = rtol / sqrt(2.0);
-    scale_by_powers(STEPS - 1, c, h, ch);
-    scale_by_powers(STEPS, e, h, eh);
+    memcpy(ch, weights, sizeof ch);
+    memcpy(eh, weights + STEPS - 1, sizeof eh);
     for (long node = 0; node < count; node++) {
         long o = node * NN;
         const double *yc = s[0] + o;

@@ -88,8 +88,8 @@ from .hierarchy import enumerate_hierarchy
 from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
 # The step polynomials of the module docstring as the coefficients of
-# h^i w_i, w_i = L^i y, that `run` hands the compiled pass: i = 1..6 of
-# y_new (its i = 0 term is y) and i = 1..7 of the error estimate. Row
+# h^i w_i, w_i = L^i y, that `run` scales by h^i for the compiled pass:
+# i = 1..6 of y_new (its i = 0 term is y) and i = 1..7 of the error. Row
 # i - 1 of _DENSE is what h^i w_i adds to the four coefficients of RK45's
 # dense output, h K^T P; its first four rows are diag(1, 1/2, 1/6, 1/24).
 # Each ratio of integers is the float nearest the exact coefficient.
@@ -244,11 +244,12 @@ class HEOMPropagator:
 
         cfg = self.config
         # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
-        # addresses, permuted together; the buffers live until the loop ends.
+        # addresses, permuted together, and its weights: _Y_NEW, then _ERROR,
+        # times h^i. All of them live until the loop ends.
         s = [y, *np.empty((7,) + y.shape)]
         addresses = (ctypes.c_void_p * 8)(*(b.ctypes.data for b in s))
-        powers = np.arange(1, 8)[:, None]
-        step, c, e = kernel.LIB.heom_step, _Y_NEW.ctypes.data, _ERROR.ctypes.data
+        weights = np.empty(_Y_NEW.size + _ERROR.size)
+        step, weights_ptr = kernel.LIB.heom_step, weights.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=s[1])
         accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 1
@@ -263,6 +264,9 @@ class HEOMPropagator:
                         "(step-size underflow or tolerance not met)")
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
+                h_powers = np.cumprod(np.full(7, h))
+                np.multiply(_Y_NEW, h_powers[:6], out=weights[:6])
+                np.multiply(_ERROR, h_powers, out=weights[6:])
                 # The generator reads no time; every call gets the step's start.
                 for j in range(1, 7):
                     self.rhs(t, s[j], out=s[j + 1])
@@ -272,8 +276,8 @@ class HEOMPropagator:
                     # RK45's dense output restricted to the physical block,
                     # read before the pass overwrites w_6 and w_7.
                     phys = np.stack([b[0] for b in s[1:]]).reshape(7, -1)
-                    poly = phys.T @ (h ** powers * _DENSE)
-                error_norm = step(self.count, c, e, h, cfg.abs_tol, cfg.rel_tol,
+                    poly = phys.T @ (h_powers[:, None] * _DENSE)
+                error_norm = step(self.count, weights_ptr, cfg.abs_tol, cfg.rel_tol,
                                   addresses)
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "

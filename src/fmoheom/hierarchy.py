@@ -94,5 +94,7 @@ def enumerate_hierarchy(n_sites, depth_max):
     plus = np.full_like(minus, NO_NEIGHBOR)
     node, site = np.nonzero(minus != NO_NEIGHBOR)
     plus[minus[node, site], site] = node
+    for table in (indices, minus, plus):  # the kernel follows them unchecked
+        table.flags.writeable = False
     return HierarchyIndexSpace(indices=indices, neighbors_minus=minus,
                                neighbors_plus=plus)

@@ -110,11 +110,10 @@ def load():
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_step(count, c, e, h, atol, rtol, s) with c and e the polynomial
-    # coefficients of y_new and of the error estimate and s the addresses of
-    # y, w_1..w_7; it returns the error norm
-    lib.heom_step.argtypes = [long_, ptr, ptr, double, double, double,
-                              ctypes.POINTER(ptr)]
+    # heom_step(count, weights, atol, rtol, s) with weights the 13 terms
+    # c_i h^i of y_new and e_i h^i of the error estimate and s the addresses
+    # of y, w_1..w_7; it returns the error norm
+    lib.heom_step.argtypes = [long_, ptr, double, double, ctypes.POINTER(ptr)]
     lib.heom_step.restype = double
     return lib
 

@@ -41,10 +41,6 @@ FMO_HAMILTONIAN_CM = np.array(
 )
 
 
-def _default_hamiltonian():
-    return FMO_HAMILTONIAN_CM.copy()
-
-
 def check_finite(name, value, rule="positive"):
     """Reject a scalar unless it is a real number that is finite and `rule`.
 
@@ -75,7 +71,7 @@ class SystemParams:
     i.e. gamma_k = 1 / gamma_inv_fs.
     """
 
-    hamiltonian_cm: np.ndarray = field(default_factory=_default_hamiltonian)
+    hamiltonian_cm: np.ndarray = field(default_factory=FMO_HAMILTONIAN_CM.copy)
     lambda_cm: float = 35.0
     gamma_inv_fs: float = 50.0
     temperature_K: float = 300.0
@@ -89,7 +85,7 @@ class SystemParams:
         h = np.asarray(self.hamiltonian_cm)
         if np.any(np.imag(h) != 0):  # the kernel reads H as a real matrix
             raise ValueError("hamiltonian_cm must be real")
-        h = np.asarray(np.real(h), dtype=float)
+        h = np.array(np.real(h), dtype=float)  # our own copy, made read-only below
         if h.shape != (N_SITES, N_SITES):
             raise ValueError(f"hamiltonian_cm must be {N_SITES}x{N_SITES}")
         if not np.all(np.isfinite(h)):
@@ -118,6 +114,7 @@ class SystemParams:
         if len(set(self.trap_sites)) != len(self.trap_sites):
             raise ValueError(
                 f"trap_sites must not repeat a site, got {self.trap_sites}")
+        h.flags.writeable = False
         object.__setattr__(self, "hamiltonian_cm", h)
 
     def output_times(self):

@@ -91,3 +91,24 @@ class TestAdjacency:
                 up = list(row)
                 up[k] += 1
                 assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
+
+    @pytest.mark.parametrize("n_sites", [1, 3, 7])
+    @pytest.mark.parametrize("depth", range(8))
+    def test_each_level_is_a_prefix_of_the_next(self, n_sites, depth):
+        # Level N is the first count(N) rows of level N + 1, whose up
+        # ranks at depth N point past them and read NO_NEIGHBOR at level N.
+        low = enumerate_hierarchy(n_sites, depth)
+        high = enumerate_hierarchy(n_sites, depth + 1)
+        count = low.count
+        np.testing.assert_array_equal(low.indices, high.indices[:count])
+        np.testing.assert_array_equal(low.neighbors_minus,
+                                      high.neighbors_minus[:count])
+        plus = high.neighbors_plus[:count]
+        np.testing.assert_array_equal(
+            low.neighbors_plus, np.where(plus >= count, NO_NEIGHBOR, plus))
+
+    def test_tables_are_read_only(self, space):
+        # The compiled kernel follows the ranks without checking them again.
+        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 10**9

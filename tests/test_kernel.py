@@ -46,10 +46,11 @@ def weights(coefficients, h):
 
 
 def step(count, h, atol, rtol, y, w):
-    """heom_step as run() calls it: y_new into w_7's buffer, f(y_new) into
-    w_6's; returns the error norm."""
-    return kernel.LIB.heom_step(count, _Y_NEW.ctypes.data, _ERROR.ctypes.data, h,
-                                atol, rtol, addresses([y, *w]))
+    """heom_step as run() calls it, with the weights of h^i w_i: y_new into
+    w_7's buffer, f(y_new) into w_6's; returns the error norm."""
+    terms = np.concatenate([weights(_Y_NEW, h), weights(_ERROR, h)])
+    return kernel.LIB.heom_step(count, terms.ctypes.data, atol, rtol,
+                                addresses([y, *w]))
 
 
 @pytest.mark.parametrize("count", [1, 36, 330])

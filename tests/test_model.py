@@ -63,6 +63,16 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="hamiltonian_cm must be real"):
             SystemParams(truncation_N=0, hamiltonian_cm=h)
 
+    def test_keeps_its_own_read_only_copy(self):
+        # A frozen, validated SystemParams must not follow later writes
+        # into the caller's array, nor take writes of its own.
+        h = FMO_HAMILTONIAN_CM.copy()
+        p = SystemParams(truncation_N=2, hamiltonian_cm=h)
+        h[0, 1] = 999.0
+        np.testing.assert_array_equal(p.hamiltonian_cm, FMO_HAMILTONIAN_CM)
+        with pytest.raises(ValueError, match="read-only"):
+            p.hamiltonian_cm[0, 1] = 999.0
+
 
 class TestLocalizedState:
     @pytest.mark.parametrize("x", [1, 6])
