@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, heom, measures, model
-from .config import ConfigError, load_run_config
+from .config import load_run_config
 
 FLOAT_FMT = "%.11e"
 
@@ -50,15 +50,9 @@ def _run_trajectory(cfg):
 
 def cmd_simulate(cfg, outdir, args):
     traj = _run_trajectory(cfg)
-    pops = traj.populations()
-    traces = traj.traces()
-    n = model.N_SITES
-    header = ["t_fs"] + [f"rho_{k}{k}" for k in range(1, n + 1)] + ["trace"]
-    rows = (
-        [traj.times_fs[i]] + list(pops[i]) + [traces[i]]
-        for i in range(traj.times_fs.size)
-    )
-    write_csv(outdir / "populations.csv", header, rows)
+    header = ["t_fs"] + [f"rho_{k}{k}" for k in range(1, model.N_SITES + 1)] + ["trace"]
+    write_csv(outdir / "populations.csv", header,
+              np.column_stack([traj.times_fs, traj.populations(), traj.traces()]))
 
     for m, nn in cfg.pair_list():
         s = measures.pair_series(traj, m, nn)
@@ -117,10 +111,7 @@ def cmd_oracle(cfg, outdir, args):
         ["x", "pair_m", "pair_n"],
         [(x, dom[0], dom[1])] if dom else [(x, "nan", "nan")],
     )
-    if dom:
-        print(f"dominant pair for x={x}: ({dom[0]},{dom[1]})")
-    else:
-        print(f"dominant pair for x={x}: none")
+    print(f"dominant pair for x={x}: " + (f"({dom[0]},{dom[1]})" if dom else "none"))
     return 0
 
 
@@ -147,15 +138,6 @@ def cmd_fret_report(cfg, outdir, args):
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "sudden-death": cmd_sudden_death,
-    "oracle": cmd_oracle,
-    "fret-report": cmd_fret_report,
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fmoheom",
@@ -164,28 +146,29 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add(name, run, summary):
+        """A subcommand with the shared options; `run` is its cmd_* function."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None,
                        help="path to a key = value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides", help="override one configuration key")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
+        p.set_defaults(run=run)
+        return p
 
-    add_common(sub.add_parser("simulate", help="integrate and emit populations "
-                              "and per-pair measures"))
-    p = sub.add_parser("converge", help="trace-distance convergence in the "
-                       "truncation level")
-    add_common(p)
+    add("simulate", cmd_simulate, "integrate and emit populations and per-pair "
+        "measures")
+    p = add("converge", cmd_converge, "trace-distance convergence in the "
+            "truncation level")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
-    p = sub.add_parser("sudden-death", help="per-pair nonlocality death times")
-    add_common(p)
+    p = add("sudden-death", cmd_sudden_death, "per-pair nonlocality death times")
     p.add_argument("--threshold", type=float, default=1e-6)
-    add_common(sub.add_parser("oracle", help="short-time slope predictions and "
-                              "the dominant pair"))
-    add_common(sub.add_parser("fret-report", help="exciton decomposition of the "
-                              "FRET initial state"))
+    add("oracle", cmd_oracle, "short-time slope predictions and the dominant pair")
+    add("fret-report", cmd_fret_report, "exciton decomposition of the FRET "
+        "initial state")
     return parser
 
 
@@ -193,15 +176,15 @@ def _check_args(args):
     """Reject bad subcommand arguments before any output or integration."""
     if args.command == "converge":
         if args.n_min < 0:
-            raise ConfigError(f"--n-min must be nonnegative, got {args.n_min}")
+            raise ValueError(f"--n-min must be nonnegative, got {args.n_min}")
         if args.n_min >= args.n_max:
-            raise ConfigError(f"--n-min must be smaller than --n-max, got "
-                              f"{args.n_min} and {args.n_max}")
+            raise ValueError(f"--n-min must be smaller than --n-max, got "
+                             f"{args.n_min} and {args.n_max}")
         try:  # the study compares level n_max with level n_max + 1
             model.SystemParams(truncation_N=args.n_max + 1)
         except ValueError as exc:
-            raise ConfigError(f"--n-max {args.n_max} (compared with N = "
-                              f"{args.n_max + 1}): {exc}") from None
+            raise ValueError(f"--n-max {args.n_max} (compared with N = "
+                             f"{args.n_max + 1}): {exc}") from None
     if args.command == "sudden-death":
         model.check_finite("--threshold", args.threshold, "nonnegative")
 
@@ -214,8 +197,8 @@ def main(argv=None):
         cfg = load_run_config(args.config, args.overrides)
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir, args)
-    except (ConfigError, ValueError, OSError, heom.IntegrationError) as exc:
+        return args.run(cfg, outdir, args)
+    except (ValueError, OSError, heom.IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

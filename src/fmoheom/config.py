@@ -2,9 +2,11 @@
 
 The format is one `key = value` pair per line, `#` comments, with dotted
 key paths (e.g. `system.truncation_N = 6`). Unknown keys are rejected with
-the offending path. Defaults reproduce the reference parameter set:
-localized/FRET x in {1, 6}, N = 12, 300 K, lambda = 35 cm^-1,
-gamma^-1 = 50 fs, trap time 1 ps, 1000 fs of dynamics.
+the offending path. A value stays text until its key's parser reads it.
+The defaults are the paper's parameter set with a start localized on
+site 1: N = 12, 300 K, lambda = 35 cm^-1, gamma^-1 = 50 fs, trap time
+1 ps on sites 3 and 4, 1000 fs of dynamics sampled every 1 fs, all 21
+pairs.
 """
 
 import re
@@ -21,19 +23,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(text):
-    text = text.strip()
-    for conv in (int, float):
-        try:
-            return conv(text)
-        except ValueError:
-            continue
-    return text
-
-
 def parse_config_text(text):
-    """Parse `key = value` lines into a flat dict of scalars/strings; a key
-    set on two lines is refused."""
+    """Parse `key = value` lines into a flat dict of stripped value texts; a
+    key set on two lines is refused."""
     out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -46,25 +38,31 @@ def parse_config_text(text):
         if key in lines:
             raise ConfigError(f"{key} is set twice, on lines {lines[key]} and {lineno}")
         lines[key] = lineno
-        out[key] = _parse_scalar(value)
+        out[key] = value.strip()
     return out
 
 
 def _integer(value):
-    """An integer from an int, an integral float or their text; 2.7 is refused."""
-    number = _parse_scalar(str(value))
-    if isinstance(number, float) and number.is_integer():
-        return int(number)
-    if not isinstance(number, int):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return number
+    """An integer from integer text, integral float text such as "2.0", or a
+    number of either kind; "2.7" is refused, quoted as given."""
+    text = str(value)
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        number = float(text)
+        if number.is_integer():
+            return int(number)
+    except ValueError:
+        pass
+    raise ValueError(f"must be an integer, got {value!r}")
 
 
 def _parse_kind(value):
-    kind = str(value)
-    if kind not in ("localized", "fret"):
-        raise ValueError(f"must be localized or fret, got {kind!r}")
-    return kind
+    if value not in ("localized", "fret"):
+        raise ValueError(f"must be localized or fret, got {value!r}")
+    return value
 
 
 def _parse_pairs(value):
@@ -136,11 +134,11 @@ def _parse(key, parser, value):
 
 @dataclass(frozen=True)
 class RunConfig:
-    initial_kind: str  # "localized" or "fret"
-    initial_site: int
     params: SystemParams
     integrator: IntegratorConfig
-    pairs: object  # "all" or list of (m, n)
+    initial_kind: str = "localized"  # or "fret"
+    initial_site: int = 1
+    pairs: object = "all"  # or a list of (m, n)
 
     def pair_list(self):
         if self.pairs == "all":
@@ -168,9 +166,7 @@ def build_run_config(flat):
     if unknown:
         raise ConfigError(f"unknown configuration key: {unknown[0]}")
 
-    kwargs = {"run": {"initial_kind": "localized", "initial_site": 1,
-                      "pairs": "all"},
-              "params": {}, "integrator": {}}
+    kwargs = {"run": {}, "params": {}, "integrator": {}}
     for key, value in flat.items():
         section, attr, parser = _KEYS[key]
         kwargs[section][attr] = _parse(key, parser, value)
@@ -202,6 +198,6 @@ def load_run_config(path=None, overrides=()):
         key = key.strip()
         if key in given:
             raise ConfigError(f"{key} is set twice by --set")
-        given[key] = _parse_scalar(value)
+        given[key] = value.strip()
     flat.update(given)
     return build_run_config(flat)

@@ -62,13 +62,16 @@ def cache_dir():
 
 
 def cpu_identity():
-    """Machine type plus the model name and flags lines of /proc/cpuinfo."""
+    """Machine type plus the lines of /proc/cpuinfo that name the CPU and its
+    features: model name and flags on x86, Features, CPU implementer and
+    CPU part on arm64."""
     lines = [platform.machine()]
     try:
         with open("/proc/cpuinfo") as f:
             for line in f:
                 key = line.split(":", 1)[0].strip()
-                if key in ("model name", "flags"):
+                if key in ("model name", "flags", "Features", "CPU implementer",
+                           "CPU part"):
                     lines.append(line)
                 if not line.strip():  # the first processor is enough
                     break

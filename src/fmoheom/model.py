@@ -39,6 +39,11 @@ FMO_HAMILTONIAN_CM = np.array(
         [-9.9, 4.3, 6.0, -63.3, -1.3, 39.7, 230.0],
     ]
 )
+FMO_HAMILTONIAN_CM.flags.writeable = False  # the default of every SystemParams
+
+# Most output intervals t_end_fs / dt_out_fs of one run: the (T, 7, 7)
+# real samples alone then take 2 GB.
+MAX_SAMPLES = 5_000_000
 
 
 def check_finite(name, value, rule="positive"):
@@ -138,11 +143,16 @@ def output_steps(t_end_fs, dt_out_fs):
     A grid that does not end at t_end_fs would ask for samples past the
     end of the integration, so it is rejected before any work is done.
     A ratio within 1e-9 of an integer is accepted; `output_times` then
-    places the last sample at t_end_fs.
+    places the last sample at t_end_fs. More than MAX_SAMPLES intervals
+    are refused before anything is allocated.
     """
     check_finite("t_end_fs", t_end_fs)
     check_finite("dt_out_fs", dt_out_fs)
     ratio = t_end_fs / dt_out_fs
+    if ratio > MAX_SAMPLES:
+        raise ValueError(
+            f"t_end_fs = {t_end_fs:g} over dt_out_fs = {dt_out_fs:g} gives "
+            f"{ratio:.0f} output intervals, above the {MAX_SAMPLES} limit")
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
         raise ValueError(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fmoheom.cli import main, write_csv
-from fmoheom.config import ConfigError, load_run_config, parse_config_text
+from fmoheom.config import _KEYS, ConfigError, load_run_config, parse_config_text
 from fmoheom.heom import HEOMPropagator
 
 FAST = [
@@ -14,6 +14,33 @@ FAST = [
     "--set", "system.t_end_fs=50",
     "--set", "system.dt_out_fs=5",
 ]
+
+# 1e13 output intervals: the samples alone would need 73 TiB.
+HUGE_GRID = [
+    "--set", "system.truncation_N=0",
+    "--set", "system.t_end_fs=10000",
+    "--set", "system.dt_out_fs=1e-9",
+    "--set", "pairs=1-2",
+]
+
+# A text other than the default for every configuration key.
+NON_DEFAULT = {
+    "initial.kind": "fret",
+    "initial.site": "6",
+    "system.truncation_N": "4",
+    "system.temperature_K": "77",
+    "system.lambda_cm": "100",
+    "system.gamma_inv_fs": "100",
+    "system.trap_rate_inv_ps": "2.5",
+    "system.trap_sites": "4,3",
+    "system.t_end_fs": "500",
+    "system.dt_out_fs": "2",
+    "integrator.abs_tol": "1e-12",
+    "integrator.rel_tol": "1e-6",
+    "integrator.initial_step_fs": "0.1",
+    "integrator.max_step_fs": "5",
+    "pairs": "5-6,2-1",
+}
 
 
 class TestConfig:
@@ -93,6 +120,28 @@ class TestConfig:
     def test_bad_value_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
+            load_run_config(overrides=[item])
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_file_line_and_override_agree(self, tmp_path, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {NON_DEFAULT[key]}\n")
+        from_file = load_run_config(cfg_file)
+        from_set = load_run_config(overrides=[f"{key}={NON_DEFAULT[key]}"])
+
+        def as_json(cfg):
+            return json.dumps(cfg.as_flat_dict(), sort_keys=True)
+
+        assert as_json(from_file) == as_json(from_set)
+        assert as_json(from_file) != as_json(load_run_config())
+
+    @pytest.mark.parametrize("item", ["system.truncation_N=2.7",
+                                      "system.trap_sites=3.50,4",
+                                      "schema_version=1.5"])
+    def test_integer_refusal_quotes_the_text(self, item):
+        key, text = item.split("=")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"must be an integer, got '{text.split(',')[0]}'")):
             load_run_config(overrides=[item])
 
     def test_integral_site_and_all_pairs_accepted(self):
@@ -250,6 +299,9 @@ class TestSimulate:
         ("sudden-death", ["--set", "pairs=1-2,2-1"], "pairs"),
         ("converge", ["--n-max", "40"], "--n-max"),
         ("converge", ["--n-max", "26"], "--n-max"),
+        ("simulate", HUGE_GRID, "error: system.t_end_fs = 10000 over system.dt_out_fs"),
+        ("converge", ["--n-min", "0", "--n-max", "1", *HUGE_GRID],
+         "error: system.t_end_fs = 10000 over system.dt_out_fs"),
     ])
     def test_too_deep_or_repeated_fails_before_output(self, tmp_path, capsys,
                                                       monkeypatch, command, args, flag):

@@ -3,6 +3,7 @@ pass against numpy, and the polynomial form of the Dormand-Prince step
 against the exact stage tableau."""
 
 import ctypes
+import io
 import math
 import os
 import re
@@ -249,6 +250,26 @@ def test_library_name_depends_on_the_cpu(tmp_path, monkeypatch):
     there = kernel.build(tmp_path)
     assert here != there
     assert sorted(tmp_path.iterdir()) == sorted([here, there])
+
+
+ARM64_CPUINFO = ("processor\t: 0\nBogoMIPS\t: 50.00\n"
+                 "Features\t: fp asimd evtstrm aes pmull sha1 sha2 crc32 atomics\n"
+                 "CPU implementer\t: 0x41\nCPU architecture: 8\n"
+                 "CPU variant\t: 0x3\nCPU part\t: {part}\nCPU revision\t: 1\n"
+                 "\nprocessor\t: 1\n")
+
+
+def test_cpu_identity_tells_arm64_cores_apart(monkeypatch):
+    # An arm64 cpuinfo has no model name or flags line: CPU implementer
+    # and CPU part name the core type.
+    def identity(part):
+        text = ARM64_CPUINFO.format(part=part)
+        monkeypatch.setattr(kernel, "open", lambda *_: io.StringIO(text),
+                            raising=False)
+        return kernel.cpu_identity()
+
+    assert identity("0xd0c") != identity("0xd40")
+    assert "CPU part\t: 0xd0c" in identity("0xd0c")
 
 
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch):

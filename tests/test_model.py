@@ -5,6 +5,7 @@ from fmoheom.model import (
     CM_TO_RADFS,
     FMO_HAMILTONIAN_CM,
     KB_CM_PER_K,
+    MAX_SAMPLES,
     SystemParams,
     exciton_basis,
     fret_state,
@@ -72,6 +73,13 @@ class TestHamiltonian:
         np.testing.assert_array_equal(p.hamiltonian_cm, FMO_HAMILTONIAN_CM)
         with pytest.raises(ValueError, match="read-only"):
             p.hamiltonian_cm[0, 1] = 999.0
+
+    def test_default_hamiltonian_is_read_only(self):
+        # A write into the module constant would change every later
+        # default SystemParams in the process.
+        with pytest.raises(ValueError, match="read-only"):
+            FMO_HAMILTONIAN_CM[0, 1] = FMO_HAMILTONIAN_CM[1, 0] = 999.0
+        assert SystemParams(truncation_N=2).hamiltonian_cm[0, 1] == -87.7
 
 
 class TestLocalizedState:
@@ -227,6 +235,16 @@ class TestParamValidation:
     def test_output_grid_must_end_at_t_end(self, t_end, dt_out):
         with pytest.raises(ValueError, match="t_end_fs.*dt_out_fs"):
             SystemParams(t_end_fs=t_end, dt_out_fs=dt_out)
+
+    def test_output_grid_size_limit(self):
+        # 1e13 intervals: np.arange in output_times would ask for 73 TiB.
+        with pytest.raises(ValueError, match="t_end_fs.*dt_out_fs.*limit"):
+            SystemParams(t_end_fs=1e4, dt_out_fs=1e-9)
+        with pytest.raises(ValueError, match="inf output intervals"):
+            SystemParams(dt_out_fs=1e-320)  # the ratio overflows to inf
+        assert output_steps(MAX_SAMPLES * 1e-3, 1e-3) == MAX_SAMPLES
+        with pytest.raises(ValueError, match="limit"):
+            output_steps((MAX_SAMPLES + 1) * 1e-3, 1e-3)
 
     def test_output_grid_rounding_accepted(self):
         # 2.3 / 0.1 is 22.999999999999996 in floating point.
