@@ -16,7 +16,7 @@ from .heom import (
     convergence_study,
 )
 from .hierarchy import enumerate_hierarchy, hierarchy_count
-from .linalg import hermitian_eigen, trace_distance
+from .linalg import trace_distance
 from .measures import (
     CorrelationTimeSeries,
     ReducedPairState,

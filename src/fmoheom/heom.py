@@ -202,7 +202,7 @@ class HEOMPropagator:
 
     def initial_hierarchy(self, rho0):
         """Factorized initial condition Q: physical state at the top, auxiliaries zero."""
-        rho0 = linalg.check_hermitian_matrix(rho0, name="initial state")
+        rho0 = linalg.check_hermitian(rho0, name="initial state")
         if rho0.shape != (N_SITES, N_SITES):
             raise ValueError(f"initial state must be {N_SITES}x{N_SITES}")
         q = np.zeros(self.state_shape)

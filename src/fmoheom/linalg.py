@@ -26,16 +26,25 @@ def check_hermitian(a, name="matrix"):
 
     Each matrix's defect max|A - A^dagger| is compared against
     HERMITIAN_RTOL times its own max|A|, floored at 1 for near-zero ones.
+    A matrix with a NaN or infinite entry fails, and the message names
+    the index of each such entry.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
     defect = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-    bad = defect > HERMITIAN_RTOL * scale
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
+    # A NaN or inf entry makes the scale non-finite and the defect NaN or
+    # inf, so their ratio is NaN and fails; defect <= rtol * scale would
+    # admit an inf entry that faces a finite one.
+    good = defect / scale <= HERMITIAN_RTOL
+    if not good.all():
+        i = np.flatnonzero(~good)[0]
         d, s = defect.flat[i], scale.flat[i]
+        if not np.isfinite(s):
+            k = tuple(int(j) for j in np.unravel_index(i, good.shape))
+            where = [k + tuple(map(int, e)) for e in np.argwhere(~np.isfinite(a[k]))]
+            raise NonHermitianError(f"{name} has non-finite entries at {where}")
         raise NonHermitianError(
             f"{name} is not Hermitian: defect {d:.3e} exceeds "
             f"{HERMITIAN_RTOL:.1e} * max|entry| = {HERMITIAN_RTOL * s:.3e}"
@@ -49,25 +58,6 @@ def check_hermitian_matrix(a, name="matrix"):
     if a.ndim != 2:
         raise ValueError(f"{name} must be one matrix, got shape {a.shape}")
     return a
-
-
-def hermitian_eigen(a):
-    """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
-
-    Returns (eigenvalues ascending, eigenvector matrix with eigenvectors as
-    columns). Each eigenvector is rotated by a global phase so that its
-    largest-magnitude component is real and positive, which makes the sign
-    pattern of the coefficients deterministic.
-    """
-    a = check_hermitian_matrix(a, name="eigen input")
-    vals, vecs = np.linalg.eigh(a)
-    vecs = vecs.copy()
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i]
-        j = int(np.argmax(np.abs(v)))
-        phase = v[j] / abs(v[j])
-        vecs[:, i] = v / phase
-    return vals, vecs
 
 
 def trace_distance(a, b):

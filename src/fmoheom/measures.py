@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULI, check_hermitian, check_hermitian_matrix
-from .model import N_SITES, _is_integer
+from .hierarchy import _is_integer
+from .model import N_SITES
 
 # Basis ordering of the 4x4 pair state, qubit m first:
 # index 0 = |0_m 0_n>, 1 = |0_m 1_n>, 2 = |1_m 0_n>, 3 = |1_m 1_n>.
@@ -164,17 +165,12 @@ def positivity_bound_check(reduced):
 
 
 @dataclass(frozen=True)
-class CorrelationTimeSeries:
-    """Per-pair measures along a trajectory, on the trajectory's output grid."""
+class CorrelationTimeSeries(PairMeasures):
+    """PairMeasures of pair (m, n) at every time of a trajectory's output grid."""
 
     m: int
     n: int
     times_fs: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    l1: np.ndarray
-    mu1: np.ndarray
-    mu3: np.ndarray
 
 
 def pair_series(trajectory, m, n):

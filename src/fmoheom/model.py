@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import MAX_NODES, _is_integer, hierarchy_count
-from .linalg import hermitian_eigen
 
 # Chromophores of one FMO monomer.
 N_SITES = 7
@@ -177,14 +176,18 @@ class ExcitonBasis:
 
 def exciton_basis(params):
     """Diagonalize the electronic Hamiltonian (in cm^-1) into exciton states."""
-    vals, vecs = hermitian_eigen(params.hamiltonian_cm.astype(complex))
+    # A complex eigh: a real one rounds differently and would move the FRET outputs.
+    vals, vecs = np.linalg.eigh(params.hamiltonian_cm.astype(complex))
     gaps = np.diff(vals)
     if np.any(gaps < 1.0):
         raise ValueError(
             f"exciton energies nearly degenerate (min gap {gaps.min():.3g} cm^-1); "
             "ascending ordering is ill-defined"
         )
-    coeffs = vecs.T.real  # real symmetric input, imaginary parts are exactly 0
+    # Phase rule: dividing each exciton by the phase of its largest component
+    # makes that component real and positive, and every imaginary part 0.
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(N_SITES)]
+    coeffs = (vecs / (lead / np.abs(lead))).T.real
     return ExcitonBasis(energies_cm=vals, coeffs=coeffs)
 
 

@@ -485,6 +485,21 @@ class TestIntegration:
             prop.run(rho)
         assert calls[0] == 0
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_initial_state_rejected(self, params, value):
+        # The gate, not the integrator, must refuse such a start, and name it.
+        prop = HEOMPropagator(params)
+        calls = counting(prop)
+        rho = localized_state(1)
+        rho[3, 3] = value
+        with pytest.raises(NonHermitianError,
+                           match=r"initial state has non-finite entries at \[\(3, 3\)\]"):
+            prop.initial_hierarchy(rho)
+        with pytest.raises(NonHermitianError, match="initial state"):
+            prop.run(rho)
+        assert calls[0] == 0
+
     def test_convergence_study_checks_every_level_first(self, monkeypatch):
         runs = []
         monkeypatch.setattr(HEOMPropagator, "run", lambda self, rho0: runs.append(1))

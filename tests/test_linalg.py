@@ -8,7 +8,6 @@ from fmoheom.linalg import (
     NonHermitianError,
     PAULI,
     check_hermitian,
-    hermitian_eigen,
     trace_distance,
 )
 from fmoheom.measures import (
@@ -17,7 +16,7 @@ from fmoheom.measures import (
     reduce_pair,
     wootters_concurrence,
 )
-from fmoheom.model import FMO_HAMILTONIAN_CM, localized_state
+from fmoheom.model import localized_state
 
 from conftest import random_hermitian, random_pair_state
 from heom_reference import anticommutator, commutator
@@ -56,10 +55,9 @@ class TestCheckHermitian:
             check_hermitian(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("func", [
-        hermitian_eigen,
         horodecki_M,
         wootters_concurrence,
-    ], ids=["hermitian_eigen", "horodecki_M", "wootters_concurrence"])
+    ], ids=["horodecki_M", "wootters_concurrence"])
     def test_single_matrix_functions_reject_stacks(self, func):
         rng = np.random.default_rng(9)
         stack = np.array([random_pair_state(rng)[0] for _ in range(3)])
@@ -68,11 +66,10 @@ class TestCheckHermitian:
 
     @pytest.mark.parametrize("func,rho", [
         (lambda a: trace_distance(a, a), localized_state(1)),
-        (hermitian_eigen, localized_state(1)),
         (lambda a: reduce_pair(a, 1, 2), np.stack([localized_state(1)] * 2)),
         (correlation_matrix, np.diag([0.5, 0.25, 0.25, 0.0])),
         (wootters_concurrence, np.diag([0.5, 0.25, 0.25, 0.0])),
-    ], ids=["trace_distance", "hermitian_eigen", "reduce_pair",
+    ], ids=["trace_distance", "reduce_pair",
             "correlation_matrix", "wootters_concurrence"])
     def test_every_input_meets_one_tolerance(self, func, rho):
         # A defect just inside HERMITIAN_RTOL passes, ten times more fails.
@@ -85,49 +82,37 @@ class TestCheckHermitian:
         with pytest.raises(NonHermitianError):
             func(with_defect(10.0))
 
+    @pytest.mark.parametrize("func,rho", [
+        (lambda a: trace_distance(a, np.eye(7)), np.eye(7)),
+        (lambda a: trace_distance(np.eye(7), a), np.eye(7)),
+        (lambda a: reduce_pair(a, 1, 2), np.stack([localized_state(1)] * 3)),
+        (correlation_matrix, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (wootters_concurrence, np.diag([0.5, 0.25, 0.25, 0.0])),
+    ], ids=["trace_distance_A", "trace_distance_B", "reduce_pair",
+            "correlation_matrix", "wootters_concurrence"])
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 2)], ids=["off_diag", "diag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    # numpy warns on inf - inf in the defect before the check raises.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_entries_rejected(self, func, rho, entry, value):
+        # NaN compares False with every bound and an inf entry makes the
+        # tolerance infinite: both must fail the check, which names them.
+        a = np.array(rho, dtype=complex)
+        a[(..., *entry)] = value
+        with pytest.raises(NonHermitianError, match=r"non-finite entries at \[\("):
+            func(a)
 
-class TestHermitianEigen:
-    def test_identity(self):
-        vals, _ = hermitian_eigen(np.eye(3, dtype=complex))
-        np.testing.assert_allclose(vals, [1, 1, 1])
-
-    def test_diagonal_ascending(self):
-        vals, _ = hermitian_eigen(np.diag([2.0, -1.0, 0.0]).astype(complex))
-        np.testing.assert_allclose(vals, [-1, 0, 2])
-
-    def test_fmo_exciton_coefficients(self):
-        # Third-lowest exciton of the 7-site Hamiltonian, components on
-        # sites 1 and 2 with the largest-component-positive phase rule.
-        _, vecs = hermitian_eigen(FMO_HAMILTONIAN_CM.astype(complex))
-        e3 = vecs[:, 2]
-        assert abs(e3[0].real - 0.877) < 5e-4
-        assert abs(e3[1].real - 0.440) < 5e-4
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 4, 7, 8):
-            a = random_hermitian(rng, dim)
-            vals, vecs = hermitian_eigen(a)
-            np.testing.assert_allclose(
-                vecs @ np.diag(vals) @ vecs.conj().T, a, atol=1e-10)
-            np.testing.assert_allclose(
-                vecs.conj().T @ vecs, np.eye(dim), atol=1e-10)
-
-    def test_residual_and_phase(self):
-        rng = np.random.default_rng(11)
-        a = random_hermitian(rng, 6)
-        vals, vecs = hermitian_eigen(a)
-        for i in range(6):
-            resid = np.max(np.abs(a @ vecs[:, i] - vals[i] * vecs[:, i]))
-            assert resid <= 1e-10 * np.max(np.abs(a))
-            j = np.argmax(np.abs(vecs[:, i]))
-            assert vecs[j, i].real > 0
-            assert abs(vecs[j, i].imag) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NonHermitianError):
-            hermitian_eigen(bad)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_message_names_every_entry(self):
+        a = np.stack([np.eye(3, dtype=complex)] * 4)
+        a[2, 0, 1] = a[2, 1, 0] = np.inf
+        a[3, 2, 2] = np.nan
+        with pytest.raises(NonHermitianError,
+                           match=r"^rho has non-finite entries at \[\(2, 0, 1\), \(2, 1, 0\)\]$"):
+            check_hermitian(a, name="rho")
+        with pytest.raises(NonHermitianError,
+                           match=r"^rho has non-finite entries at \[\(1, 1\)\]$"):
+            check_hermitian(np.diag([1.0, np.nan]), name="rho")
 
 
 class TestTraceDistance:

@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 from fmoheom.heom import HEOMPropagator
 from fmoheom.linalg import PAULI
 from fmoheom.measures import (
+    PairMeasures,
     all_pairs,
     closed_form_measures,
     correlation_matrix,
@@ -255,6 +256,15 @@ class TestPairSeries:
             for field in ("B", "C", "l1", "mu1", "mu3"):
                 expected = [getattr(p, field) for p in per_sample]
                 assert np.array_equal(getattr(s, field), expected), (m, n, field)
+
+    def test_is_the_closed_form_of_the_reduced_stack(self, traj_x1_n6):
+        s = pair_series(traj_x1_n6, 2, 5)
+        assert isinstance(s, PairMeasures)
+        assert (s.m, s.n) == (2, 5) and s.times_fs is traj_x1_n6.times_fs
+        expected = closed_form_measures(reduce_pair(traj_x1_n6.rhos, 2, 5))
+        for field in dataclasses.fields(PairMeasures):
+            got, want = getattr(s, field.name), getattr(expected, field.name)
+            assert got.tobytes() == want.tobytes(), field.name
 
     def test_rounds_like_python_scalars(self, traj_x1_n6):
         # The CLI's CSV bytes rest on the rounding of abs(complex) and x ** 2

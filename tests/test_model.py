@@ -116,6 +116,31 @@ class TestExcitonBasis:
         with pytest.raises(ValueError, match="nearly degenerate"):
             exciton_basis(SystemParams(truncation_N=0, hamiltonian_cm=h))
 
+    @pytest.fixture(scope="class")
+    def random_params(self):
+        # A random symmetric H whose exciton gaps are all at least 1 cm^-1.
+        rng = np.random.default_rng(24)
+        while True:
+            a = rng.normal(scale=100.0, size=(7, 7))
+            h = 0.5 * (a + a.T)
+            if np.diff(np.linalg.eigvalsh(h)).min() >= 1.0:
+                return SystemParams(truncation_N=0, hamiltonian_cm=h)
+
+    @pytest.mark.parametrize("name", ["params", "random_params"])
+    def test_phase_rule_and_residual(self, name, request):
+        p = request.getfixturevalue(name)
+        b = exciton_basis(p)
+        h = p.hamiltonian_cm
+        assert b.coeffs.dtype == np.float64
+        atol = 1e-10 * np.max(np.abs(h))
+        for energy, c in zip(b.energies_cm, b.coeffs):
+            # The largest-magnitude coefficient of every exciton is positive.
+            assert c[np.argmax(np.abs(c))] > 0
+            assert np.max(np.abs(h @ c - energy * c)) <= atol
+        np.testing.assert_allclose(b.coeffs @ b.coeffs.T, np.eye(7), atol=1e-10)
+        np.testing.assert_allclose(
+            b.coeffs.T @ np.diag(b.energies_cm) @ b.coeffs, h, rtol=0, atol=atol)
+
     def test_paper_coefficients(self, basis):
         # Excitons 3 and 6 on sites 1 and 2, paper sign convention.
         assert abs(basis.coeffs[2, 0] - 0.877) < 5e-4
