@@ -16,7 +16,7 @@ from fmoheom.measures import (
     reduce_pair,
     wootters_concurrence,
 )
-from fmoheom.model import localized_state
+from fmoheom.model import SystemParams, exciton_basis, localized_state
 
 from conftest import random_hermitian, random_pair_state
 from heom_reference import anticommutator, commutator
@@ -113,6 +113,49 @@ class TestCheckHermitian:
         with pytest.raises(NonHermitianError,
                            match=r"^rho has non-finite entries at \[\(1, 1\)\]$"):
             check_hermitian(np.diag([1.0, np.nan]), name="rho")
+
+
+def _random_symmetric_params(rng):
+    """SystemParams with a random symmetric 7x7 H whose gaps are >= 1 cm^-1."""
+    while True:
+        a = rng.normal(scale=100.0, size=(7, 7))
+        h = 0.5 * (a + a.T)
+        if np.diff(np.linalg.eigvalsh(h)).min() >= 1.0:
+            return SystemParams(truncation_N=0, hamiltonian_cm=h)
+
+
+class TestHermitianEigen:
+    # The Hermitian eigendecomposition with its phase rule is model.exciton_basis.
+    def test_diagonal_ascending(self):
+        h = np.diag([2.0, -1.0, 0.0, 5.0, 4.0, 3.0, 6.0])
+        b = exciton_basis(SystemParams(truncation_N=0, hamiltonian_cm=h))
+        np.testing.assert_allclose(b.energies_cm, [-1, 0, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(b.coeffs, np.eye(7)[[1, 2, 0, 5, 4, 3, 6]])
+
+    def test_fmo_exciton_coefficients(self):
+        # Third-lowest exciton of the 7-site Hamiltonian, components on
+        # sites 1 and 2 with the largest-component-positive phase rule.
+        e3 = exciton_basis(SystemParams(truncation_N=0)).coeffs[2]
+        assert abs(e3[0] - 0.877) < 5e-4
+        assert abs(e3[1] - 0.440) < 5e-4
+
+    def test_reconstruction_random(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            p = _random_symmetric_params(rng)
+            b = exciton_basis(p)
+            np.testing.assert_allclose(
+                b.coeffs.T @ np.diag(b.energies_cm) @ b.coeffs, p.hamiltonian_cm,
+                atol=1e-10 * np.max(np.abs(p.hamiltonian_cm)))
+            np.testing.assert_allclose(b.coeffs @ b.coeffs.T, np.eye(7), atol=1e-10)
+
+    def test_residual_and_phase(self):
+        p = _random_symmetric_params(np.random.default_rng(11))
+        h = p.hamiltonian_cm
+        b = exciton_basis(p)
+        for energy, c in zip(b.energies_cm, b.coeffs):
+            assert np.max(np.abs(h @ c - energy * c)) <= 1e-10 * np.max(np.abs(h))
+            assert c[np.argmax(np.abs(c))] > 0
 
 
 class TestTraceDistance:
