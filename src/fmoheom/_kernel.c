@@ -1,25 +1,30 @@
-/* Compiled step kernel of the HEOM integrator in fmoheom/heom.py.
+/* Compiled passes of the HEOM integrator in fmoheom/heom.py, the one
+ * statement of how each is evaluated. Each function takes the node count
+ * first. Every array is C-contiguous and checked by the caller; nothing is
+ * allocated here.
  *
  * heom_rhs evaluates the right-hand side of the real hierarchy state Q
  * (count nodes of 7 x 7 doubles, row-major) in one pass over the nodes.
- * For node c it forms Y = Q - i Q^T, computes P' = Y X + R' Y, where row k
- * of R' Y is n_k (a_re + i a_im), -gamma |n| / 2 and i times row k of Y of
- * the down neighbour c - e_k, of c and of the up neighbour c + e_k (row k
- * and column k of that node's Q), and writes dQ = Re P' - (Im P')^T. X =
- * i H^T - diag(r) is read as the real matrix H^T and the trap rates r. The
- * damping, the diagonal of R', acts on Y as the trap rates do, so one rate
- * vector r + gamma |n| / 2 applies both and only the neighbours are
- * gathered. A row of 7 doubles is held as one 8-double vector with a zero
- * eighth lane, so every product is a broadcast times a vector.
+ * For each node it forms Y = Q - i Q^T = (1 - i) zeta in registers,
+ * evaluates P' = (1 - i) P = Y X + R' Y and writes the derivative
+ * dQ = Re P' - (Im P')^T once, as d zeta = P + P^dagger. Row k of R' Y is
+ * the three terms of P for site k, n_k (b + i a), -gamma |n| / 2 and i
+ * times row k of Y of the down neighbour n - e_k (when n_k > 0), of n, and
+ * of the up neighbour n + e_k (when within the truncation), with a, b and
+ * gamma the bath coefficients of heom.py. Row k of Y of a node is row k and
+ * column k of its Q. The damping, the diagonal of R', acts on Y as the
+ * trap rates in X do, so one rate vector r + gamma |n| / 2 applies both
+ * and only the two neighbours are gathered. A row of 7 doubles is held as
+ * one 8-double vector with a zero eighth lane, so every product is a
+ * broadcast times a vector.
  *
- * heom_step finishes a Dormand-Prince step written as a polynomial in h L,
- * from the chain w_i = L^i y, i = 1..7, that the caller has formed with
- * heom_rhs, and the weights of h^i w_i, which the caller has scaled by h^i:
- * in one pass over the nodes it returns the RMS norm of the error
- * estimate, with one error scale per Hermitian pair of entries, and writes
- * y_new and f(y_new), whether or not the caller then accepts the step.
- * Each function takes the node count first. Every array is C-contiguous
- * and checked by the caller; nothing is allocated here.
+ * heom_step finishes a Dormand-Prince step written as a polynomial in h L
+ * (heom.py), from the chain w_i = L^i y, i = 1..7, that the caller has
+ * formed with heom_rhs, and the weights of h^i w_i, which the caller has
+ * scaled by h^i. In one pass over the nodes it returns the RMS norm of the
+ * error estimate and writes y_new and f(y_new), whether or not the caller
+ * then accepts the step; the comment above it gives the reads, the writes
+ * and the norm.
  */
 #include <math.h>
 #include <stdint.h>
@@ -56,7 +61,7 @@ static inline void couple(const double *qn, int k, double dr, double di, v8 *pr,
  * n, down and up are count x N: each node's multi-index and its neighbours'
  * ranks along each site, -1 for none. */
 void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
-              const int64_t *down, const int64_t *up, double a_re, double a_im,
+              const int64_t *down, const int64_t *up, double a, double b,
               double gamma, const double *q, double *out)
 {
     v8 hl[N], r8 = row(r);
@@ -70,22 +75,22 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
             depth += (double)nc[k];
         v8 rate = r8 + 0.5 * gamma * depth, pr[N], pi[N];
         /* P' = Y X - gamma |n| / 2 Y = Y (i h - diag(rate)) with Y = Q - i Q^T:
-         * row a of Y is row a of Q minus i times column a, so Re P'_a = sum_l
-         * Q_la h_l - rate (.) row a of Q and Im P'_a = sum_l Q_al h_l + rate
-         * (.) column a. */
-        for (int a = 0; a < N; a++) {
-            v8 sr = qc[a] * hl[0], si = qc[a * N] * hl[0];
+         * row j of Y is row j of Q minus i times column j, so Re P'_j = sum_l
+         * Q_lj h_l - rate (.) row j of Q and Im P'_j = sum_l Q_jl h_l + rate
+         * (.) column j. */
+        for (int j = 0; j < N; j++) {
+            v8 sr = qc[j] * hl[0], si = qc[j * N] * hl[0];
             for (int l = 1; l < N; l++) {
-                sr += qc[l * N + a] * hl[l];
-                si += qc[a * N + l] * hl[l];
+                sr += qc[l * N + j] * hl[l];
+                si += qc[j * N + l] * hl[l];
             }
-            pr[a] = sr - row(qc + a * N) * rate;
-            pi[a] = si + col(qc + a) * rate;
+            pr[j] = sr - row(qc + j * N) * rate;
+            pi[j] = si + col(qc + j) * rate;
         }
         /* P' += the off-diagonal part of R' Y: down and up neighbours */
         for (int k = 0; k < N; k++) {
             if (dc[k] >= 0)
-                couple(q + dc[k] * NN, k, (double)nc[k] * a_re, (double)nc[k] * a_im,
+                couple(q + dc[k] * NN, k, (double)nc[k] * b, (double)nc[k] * a,
                        &pr[k], &pi[k]);
             if (uc[k] >= 0)
                 couple(q + uc[k] * NN, k, 0.0, 1.0, &pr[k], &pi[k]);
@@ -96,25 +101,25 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
         memcpy(re, pr, sizeof re);
         memcpy(im, pi, sizeof im);
         double *oc = out + c * NN;
-        for (int a = 0; a < N; a++)
-            for (int b = 0; b < N; b++)
-                oc[a * N + b] = re[a][b] - im[b][a];
+        for (int j = 0; j < N; j++)
+            for (int l = 0; l < N; l++)
+                oc[j * N + l] = re[j][l] - im[l][j];
     }
 }
 
-/* RMS over every entry of err / scale, with the error estimate err =
- * sum_{i=1..7} e_i h^i w_i and scale = atol + rtol max(|zeta_ij|,
- * |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2) is the
- * modulus of the complex entry that Q stores. |zeta_ij| = |zeta_ji|, so
- * one square root and one division serve the pair i <= j. The squares are
- * stored before a pair adds them, so no fused multiply-add makes the sum
- * depend on the order of the pair, and the two entries of a pair in the
- * RMS sum are added first: Q^T, that is zeta*, has the norm of Q bit for
- * bit, as in RK45 on the complex state. s holds the addresses of y,
- * w_1..w_7, and weights the six c_i h^i, then the seven e_i h^i. Each node
- * is read from all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i
- * is written into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1}
- * into s[6]. */
+/* RMS over every entry of every node of err / scale, with the error
+ * estimate err = sum_{i=1..7} e_i h^i w_i and scale = atol + rtol
+ * max(|zeta_ij|, |zeta_new_ij|), where |zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2)
+ * is the modulus of the complex entry that Q stores. That is RK45's norm on
+ * the complex state, so the step sequence is that of RK45 on zeta.
+ * |zeta_ij| = |zeta_ji|, so one square root and one division serve the
+ * pair i <= j. The squares are stored before a pair adds them, so no fused
+ * multiply-add makes the sum depend on the order of the pair, and the two
+ * entries of a pair in the RMS sum are added first: Q^T, that is zeta*, has
+ * the norm of Q bit for bit. s holds the addresses of y, w_1..w_7, and
+ * weights the six c_i h^i, then the seven e_i h^i. Each node is read from
+ * all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i is written
+ * into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1} into s[6]. */
 double heom_step(long count, const double *weights, double atol, double rtol,
                  double *const s[STEPS + 1])
 {
@@ -144,11 +149,11 @@ double heom_step(long count, const double *weights, double atol, double rtol,
             sq[i] = yc[i] * yc[i];
             sq_new[i] = yn[i] * yn[i];
         }
-        for (int a = 0; a < N; a++) /* one scale per pair */
-            for (int b = a; b < N; b++) {
-                double m = fmax(sq[a * N + b] + sq[b * N + a],
-                                sq_new[a * N + b] + sq_new[b * N + a]);
-                inv[a * N + b] = inv[b * N + a] = 1.0 / (sqrt(m) * factor + atol);
+        for (int i = 0; i < N; i++) /* one scale per pair */
+            for (int j = i; j < N; j++) {
+                double m = fmax(sq[i * N + j] + sq[j * N + i],
+                                sq_new[i * N + j] + sq_new[j * N + i]);
+                inv[i * N + j] = inv[j * N + i] = 1.0 / (sqrt(m) * factor + atol);
             }
         for (int i = 0; i < NN; i++) {
             double r = err[i] * inv[i];
@@ -157,10 +162,10 @@ double heom_step(long count, const double *weights, double atol, double rtol,
         memcpy(s[7] + o, yn, sizeof yn);
         memcpy(s[6] + o, f, sizeof f);
     }
-    for (int a = 0; a < N; a++) {
-        total += sum[a * N + a];
-        for (int b = a + 1; b < N; b++)
-            total += sum[a * N + b] + sum[b * N + a];
+    for (int i = 0; i < N; i++) {
+        total += sum[i * N + i];
+        for (int j = i + 1; j < N; j++)
+            total += sum[i * N + j] + sum[j * N + i];
     }
     return sqrt(total / (double)(count * NN));
 }

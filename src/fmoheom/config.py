@@ -86,7 +86,9 @@ def _parse_pairs(value):
 
 
 def _parse_sites(value):
-    return tuple(_integer(s) for s in str(value).split(","))
+    """Sites from text such as "3,4"; empty text is no site."""
+    text = str(value)
+    return tuple(_integer(s) for s in text.split(",")) if text else ()
 
 
 def _unparse(value):

@@ -27,18 +27,9 @@ the trap sites s is its anti-Hermitian part, so X = i H_e^T - diag(r),
 with r the trap rate on the trap sites and 0 elsewhere. The site shift
 lambda of H_e + lambda I is left out: with one lambda for every site it
 is a real multiple of the identity, which cancels in P + P^dagger.
-The right-hand side is one compiled kernel (`_kernel.c`, built and
-loaded by `fmoheom.kernel`). It makes one pass over the nodes; for each
-node it forms Y = Q - i Q^T = (1 - i) zeta in registers, evaluates
-P' = (1 - i) P = Y X + R' Y, with X read as the real matrix H_e^T and
-the diagonal r, and writes the derivative of Q,
-Re P' - (Im P')^T, once. Row k of R' Y is the three terms of P for site
-k, read from the hierarchy's tables: n_k (b + i a), -gamma |n| / 2 and i
-times row k of Y of n - e_k (when n_k > 0), of n, and of n + e_k (when
-within the truncation). Row k of Y of a node is row k and column k of its Q.
-The middle term, the diagonal of R', acts on Y as the trap rates in X do,
-so the kernel applies both through one rate vector r + gamma |n| / 2 and
-gathers only the two neighbours.
+The right-hand side is one compiled pass over the nodes, `heom_rhs` in
+`_kernel.c` (built and loaded by `fmoheom.kernel`), which states how it
+evaluates P for each node from Q, X and the hierarchy's tables.
 
 Integration is the adaptive Dormand-Prince 5(4) pair with the step
 control of `solve_ivp`'s RK45. The generator L is linear and reads no
@@ -55,25 +46,22 @@ Comp. 46, 135 (1986)) in the same form.
 
 The loop owns eight state-sized buffers as one list, [y, w_1, ..., w_7].
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
-w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass
-(`_kernel.c`) then reads all eight buffers, returns the RMS norm of the
-error estimate and writes y_new = y + sum_i c_i h^i w_i into w_7's buffer
-and f(y_new) = w_1 + sum_i c_i h^i w_(i+1) into w_6's. Acceptance permutes
-the list by `_ACCEPT`: y and w_1 take those two buffers, and the old w_1
-and y become w_6 and w_7. A rejected attempt recomputes the chain from
-the untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
+w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass,
+`heom_step` in `_kernel.c`, then returns the error norm and writes y_new
+into w_7's buffer and f(y_new) into w_6's; `_kernel.c` states what it
+reads and writes and how it takes the norm. Acceptance permutes the list
+by `_ACCEPT`: y and w_1 take those two buffers, and the old w_1 and y
+become w_6 and w_7. A rejected attempt recomputes the chain from the
+untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
 This form holds only while the generator stays linear and
 time-independent: a time-dependent term, such as a pulsed field, would
 need the stage sums back. Step control, dense output and sampling stay
-here. The error norm is taken over the moduli
-|zeta_ij| = sqrt((Q_ij^2 + Q_ji^2) / 2), which equals RK45's norm on the
-complex state, so the step sequence is that of RK45 on zeta. As |zeta_ij|
-= |zeta_ji|, the pass takes one scale per pair i <= j and divides both of
-its error entries by it; the RMS still runs over all n * n entries. The loop
-ends at exactly t_end, the last time of `SystemParams.output_times()`;
-the dense output of each step, node 0 of h^i w_i times the constant
-7 x 4 matrix K^T P of RK45's interpolant with K written in the w basis,
-is sampled onto that grid.
+here. One departure from RK45: a step whose error estimate is not finite
+ends the run with `IntegrationError`, where RK45 would shrink the step
+until it underflows. The loop ends at exactly t_end, the last time of
+`SystemParams.output_times()`; the dense output of each step, node 0 of
+h^i w_i times the constant 7 x 4 matrix K^T P of RK45's interpolant with
+K written in the w basis, is sampled onto that grid.
 """
 
 import ctypes
@@ -180,17 +168,15 @@ class HEOMPropagator:
         lam = params.lambda_cm * CM_TO_RADFS
         gamma = 1.0 / params.gamma_inv_fs
         kT = KB_CM_PER_K * params.temperature_K * CM_TO_RADFS
+        a, b = 2.0 * lam * kT, lam * gamma
 
-        # Trapping -r sum_s {|s><s|, .} is the anti-Hermitian part of H_eff:
-        # -i (H_eff z - z H_eff^dagger) is the unitary plus trapping term.
-        # The kernel reads X = i H_eff^dagger = i H^T - diag(r) as H^T and r.
+        # X = i H^T - diag(r) (module docstring), read as H^T and r.
         self._h = np.ascontiguousarray((params.hamiltonian_cm * CM_TO_RADFS).T)
         self._r = np.zeros(N_SITES)
         self._r[[s - 1 for s in params.trap_sites]] = params.trap_rate_inv_fs
-        # The kernel reads R' from the hierarchy's tables (module docstring).
         self._args = kernel.bind(self.count, self._h, self._r, space.indices,
                                  space.neighbors_minus, space.neighbors_plus,
-                                 complex(lam * gamma, 2.0 * lam * kT), gamma)
+                                 a, b, gamma)
 
     @property
     def count(self):

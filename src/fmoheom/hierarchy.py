@@ -3,10 +3,10 @@
 Multi-indices n = (n_1, ..., n_K) with sum(n) <= N are laid out in graded
 lexicographic order (by depth, then lexicographically within a depth) and
 addressed by a flat rank. The hierarchy holds both neighbour tables: the
-rank of n with n_k decremented, found once by binary search over integer
-keys that increase in that order, and the rank of n with n_k incremented,
-one scatter of the first: the up-neighbour of n along k is the node whose
-down-neighbour along k is n.
+rank of n with n_k decremented, found by binary search over integer keys
+that increase in that order, and the rank of n with n_k incremented,
+scattered from the same search: the up-neighbour of n along k is the node
+whose down-neighbour along k is n.
 """
 
 import numbers
@@ -89,11 +89,11 @@ def enumerate_hierarchy(n_sites, depth_max):
 
     # One site column at a time, so the queries arrive in increasing order.
     minus = np.full((count, n_sites), NO_NEIGHBOR, dtype=np.int64)
-    for k, has_minus in enumerate((indices > 0).T):
-        minus[has_minus, k] = np.searchsorted(keys, keys[has_minus] - step[k])
     plus = np.full_like(minus, NO_NEIGHBOR)
-    node, site = np.nonzero(minus != NO_NEIGHBOR)
-    plus[minus[node, site], site] = node
+    for k, has_minus in enumerate((indices > 0).T):
+        below = np.searchsorted(keys, keys[has_minus] - step[k])
+        minus[has_minus, k] = below
+        plus[below, k] = np.flatnonzero(has_minus)
     for table in (indices, minus, plus):  # the kernel follows them unchecked
         table.flags.writeable = False
     return HierarchyIndexSpace(indices=indices, neighbors_minus=minus,

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import N_SITES
+
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "cc"
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -41,19 +43,21 @@ def check(name, array, dtype, shape):
     return array.ctypes.data
 
 
-def bind(count, h, r, n, down, up, a, gamma):
+def bind(count, h, r, n, down, up, a, b, gamma):
     """The constant leading arguments of `heom_rhs`: count, the addresses of
-    h = Im X (7 x 7 float64) and of the trap rates r (7 float64), so that
-    X = i h - diag(r), and of the int64 count x 7 tables n, down and up
-    (neighbour ranks, -1 for none), then a.real, a.imag and gamma. The
-    caller keeps the arrays alive."""
-    ptrs = [check("h", h, np.float64, (7, 7)), check("r", r, np.float64, (7,))]
-    ptrs += [check(name, table, np.int64, (count, 7))
+    h = Im X (N_SITES x N_SITES float64) and of the trap rates r (N_SITES
+    float64), so that X = i h - diag(r), and of the int64 count x N_SITES
+    tables n, down and up (neighbour ranks, -1 for none), then the bath
+    coefficients a, b and gamma of `fmoheom.heom`. The caller keeps the arrays
+    alive."""
+    ptrs = [check("h", h, np.float64, (N_SITES, N_SITES)),
+            check("r", r, np.float64, (N_SITES,))]
+    ptrs += [check(name, table, np.int64, (count, N_SITES))
              for name, table in (("n", n), ("down", down), ("up", up))]
     for name, ranks in (("down", down), ("up", up)):
         if np.any((ranks < -1) | (ranks >= count)):
             raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
-    return (count, *ptrs, a.real, a.imag, gamma)
+    return (count, *ptrs, a, b, gamma)
 
 
 def cache_dir():
@@ -109,13 +113,9 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    # heom_rhs(count, h, r, n, down, up, a_re, a_im, gamma, q, out)
     lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
                              ptr, ptr]
     lib.heom_rhs.restype = None
-    # heom_step(count, weights, atol, rtol, s) with weights the 13 terms
-    # c_i h^i of y_new and e_i h^i of the error estimate and s the addresses
-    # of y, w_1..w_7; it returns the error norm
     lib.heom_step.argtypes = [long_, ptr, double, double, ctypes.POINTER(ptr)]
     lib.heom_step.restype = double
     return lib

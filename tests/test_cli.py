@@ -1,12 +1,14 @@
 import filecmp
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fmoheom.cli import main, write_csv
-from fmoheom.config import _KEYS, ConfigError, load_run_config, parse_config_text
+from fmoheom.config import (_KEYS, ConfigError, build_run_config, load_run_config,
+                            parse_config_text)
 from fmoheom.heom import HEOMPropagator
 
 FAST = [
@@ -116,7 +118,8 @@ class TestConfig:
                                       "pairs=1-2,2-1",
                                       "pairs=1+2",
                                       "schema_version=2",
-                                      "system.trap_sites=8"])
+                                      "system.trap_sites=8",
+                                      "system.trap_sites=3,,4"])
     def test_bad_value_names_key(self, item):
         key = item.split("=")[0]
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -206,6 +209,17 @@ class TestConfig:
             assert (json.dumps(got, sort_keys=True)
                     == json.dumps(want, sort_keys=True))
 
+    @pytest.mark.parametrize("trap_sites", [(3, 4), ()])
+    def test_flat_dict_loads_back(self, trap_sites):
+        # A run manifest is a configuration: an empty trap_sites, written as
+        # "", reads back as no site.
+        cfg = load_run_config()
+        cfg = replace(cfg, params=replace(cfg.params, trap_sites=trap_sites))
+        again = build_run_config(cfg.as_flat_dict())
+        assert again.params.trap_sites == trap_sites
+        assert (json.dumps(again.as_flat_dict(), sort_keys=True)
+                == json.dumps(cfg.as_flat_dict(), sort_keys=True))
+
     def test_parse_syntax_error(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("not a key value line")
@@ -273,6 +287,17 @@ class TestSimulate:
         for fname in ["populations.csv", "measures_1_2.csv", "measures_5_6.csv",
                       "run_manifest.json"]:
             assert filecmp.cmp(outs[0] / fname, outs[1] / fname, shallow=False)
+
+    def test_no_trap_site_keeps_the_trace(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--out", str(out), *FAST, "--set", "pairs=1-2",
+                   "--set", "system.trap_sites="])
+        assert rc == 0
+        rows = (out / "populations.csv").read_text().splitlines()[1:]
+        trace = np.array([float(r.split(",")[-1]) for r in rows])
+        assert np.all(np.abs(trace - 1.0) <= 1e-12)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["system.trap_sites"] == ""
 
     def test_overshooting_grid_fails_before_running(self, tmp_path, capsys):
         out = tmp_path / "out"

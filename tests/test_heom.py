@@ -406,6 +406,17 @@ class TestIntegration:
         # At most the five remaining calls of that attempt follow the first NaN.
         assert first_nan and calls[0] - first_nan[0] <= 5
 
+    def test_step_size_underflow_raises(self):
+        # A cap below the minimum step at t = 0 fails the first attempt
+        # before its chain: only the FSAL call f(y) is made.
+        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=10.0),
+                              IntegratorConfig(max_step_fs=5e-324))
+        calls = counting(prop)
+        with pytest.raises(IntegrationError, match=r"failed at t = 0 fs "
+                           r"\(step-size underflow or tolerance not met\)"):
+            prop.run(localized_state(1))
+        assert calls[0] == 1
+
     def test_stats_count_every_evaluation(self):
         prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))
         calls = counting(prop)

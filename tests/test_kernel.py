@@ -6,6 +6,7 @@ import ctypes
 import io
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from scipy.integrate import RK45
 
 from fmoheom import kernel
 from fmoheom.heom import _DENSE, _ERROR, _Y_NEW
+from fmoheom.model import N_SITES
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 
@@ -118,6 +120,12 @@ def test_load_declares_every_exported_function():
         assert function.restype is results[result], name
         assert function.argtypes is not None, name
         assert len(function.argtypes) == len(params.split(",")), name
+
+
+def test_source_has_the_model_site_count():
+    # bind checks every array against N_SITES; the kernel reads N.
+    defines = re.findall(r"^#define N (\d+)", kernel.SOURCE.read_text(), re.MULTILINE)
+    assert defines == [str(N_SITES)]
 
 
 def _rational(rows):
@@ -272,6 +280,16 @@ def test_cpu_identity_tells_arm64_cores_apart(monkeypatch):
     assert "CPU part\t: 0xd0c" in identity("0xd0c")
 
 
+def test_cpu_identity_without_cpuinfo(tmp_path, monkeypatch):
+    # Without a readable /proc/cpuinfo the machine type alone names the CPU.
+    def unreadable(*_):
+        raise OSError("no cpuinfo")
+
+    monkeypatch.setattr(kernel, "open", unreadable, raising=False)
+    assert kernel.cpu_identity() == platform.machine()
+    assert kernel.build(tmp_path).suffix == ".so"
+
+
 def test_missing_compiler_names_the_command(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel, "COMPILER", "no-such-cc")
     with pytest.raises(ImportError, match="`no-such-cc -O3 -march=native -shared -fPIC -o "):
@@ -287,28 +305,29 @@ def test_bind_checks_the_arrays():
     n = np.array([[0] * 7, [1] + [0] * 6])
     down = np.array([[-1] * 7, [0] + [-1] * 6])
     up = np.array([[1] + [-1] * 6, [-1] * 7])
-    args = kernel.bind(2, h, r, n, down, up, 2.0 + 3.0j, 0.5)
-    assert args[0] == 2 and args[-3:] == (2.0, 3.0, 0.5)
+    args = kernel.bind(2, h, r, n, down, up, 3.0, 2.0, 0.5)
+    assert args[0] == 2 and args[-3:] == (3.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
-        kernel.bind(2, np.asfortranarray(h + np.eye(7, k=1)), r, n, down, up, 1j, 1.0)
+        kernel.bind(2, np.asfortranarray(h + np.eye(7, k=1)), r, n, down, up,
+                    1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
-        kernel.bind(2, h.astype(complex), r, n, down, up, 1j, 1.0)
+        kernel.bind(2, h.astype(complex), r, n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"h must be .* of shape \(7, 7\)"):
-        kernel.bind(2, h[:6].copy(), r, n, down, up, 1j, 1.0)
+        kernel.bind(2, h[:6].copy(), r, n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="r must be a C-contiguous float64"):
-        kernel.bind(2, h, r.astype(np.float32), n, down, up, 1j, 1.0)
+        kernel.bind(2, h, r.astype(np.float32), n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"r must be .* of shape \(7,\)"):
-        kernel.bind(2, h, np.zeros((7, 1)), n, down, up, 1j, 1.0)
+        kernel.bind(2, h, np.zeros((7, 1)), n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="down must be a C-contiguous int64"):
-        kernel.bind(2, h, r, n, down.astype(np.int32), up, 1j, 1.0)
+        kernel.bind(2, h, r, n, down.astype(np.int32), up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"n must be .* of shape \(3, 7\)"):
-        kernel.bind(3, h, r, n, down, up, 1j, 1.0)
+        kernel.bind(3, h, r, n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"up must be .* of shape \(2, 7\)"):
-        kernel.bind(2, h, r, n, down, up[:, :6].copy(), 1j, 1.0)
+        kernel.bind(2, h, r, n, down, up[:, :6].copy(), 1.0, 0.0, 1.0)
     for rank in (2, -2):
         bad = up.copy()
         bad[0, 3] = rank
         with pytest.raises(ValueError, match=r"up ranks must lie in -1\.\.1"):
-            kernel.bind(2, h, r, n, down, bad, 1j, 1.0)
+            kernel.bind(2, h, r, n, down, bad, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match=r"down ranks must lie in -1\.\.1"):
-            kernel.bind(2, h, r, n, bad, up, 1j, 1.0)
+            kernel.bind(2, h, r, n, bad, up, 1.0, 0.0, 1.0)
