@@ -73,7 +73,7 @@ def _parse_pairs(value):
         chunk = chunk.strip()
         try:
             m, n = chunk.split("-")
-            m, n = int(m), int(n)
+            m, n = _integer(m), _integer(n)
         except ValueError:
             raise ValueError(f"bad pair {chunk!r}, expected like 1-2") from None
         if m == n:

@@ -39,10 +39,12 @@ The step is defined here by those polynomials, the fifth-order solution
 and the error estimate,
 
     y_new = (1 + z + z^2/2 + z^3/6 + z^4/24 + z^5/120 + z^6/600) y,
-    error = (97/120000 z^5 - 13/40000 z^6 + 1/24000 z^7) y,
+    error = (97/120000 z^5 - 13/40000 z^6 + 1/24000 z^7) y.
 
-and by the dense output of RK45's quartic interpolant (Shampine, Math.
-Comp. 46, 135 (1986)) in the same form.
+The dense output of a step is the first of them at theta z, theta in
+[0, 1]: y(t + theta h) = y + sum_i c_i (theta h)^i w_i, i = 1..6, with
+w_i = L^i y and c_i the coefficients of y_new. Like y_new it agrees with
+exp(theta z) y through z^5.
 
 The loop owns eight state-sized buffers as one list, [y, w_1, ..., w_7].
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
@@ -56,12 +58,13 @@ untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
 This form holds only while the generator stays linear and
 time-independent: a time-dependent term, such as a pulsed field, would
 need the stage sums back. Step control, dense output and sampling stay
-here. One departure from RK45: a step whose error estimate is not finite
+here. Two departures from RK45: a step whose error estimate is not finite
 ends the run with `IntegrationError`, where RK45 would shrink the step
-until it underflows. The loop ends at exactly t_end, the last time of
-`SystemParams.output_times()`; the dense output of each step, node 0 of
-h^i w_i times the constant 7 x 4 matrix K^T P of RK45's interpolant with
-K written in the w basis, is sampled onto that grid.
+until it underflows; and the dense output is the step polynomial above,
+not RK45's own interpolant. The loop ends at exactly t_end, the last time
+of `SystemParams.output_times()`. Each accepted step evaluates its dense
+output on node 0 at every grid time it covers, t = 0 included, in one
+product.
 """
 
 import ctypes
@@ -77,21 +80,10 @@ from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 
 # The step polynomials of the module docstring as the coefficients of
 # h^i w_i, w_i = L^i y, that `run` scales by h^i for the compiled pass:
-# i = 1..6 of y_new (its i = 0 term is y) and i = 1..7 of the error. Row
-# i - 1 of _DENSE is what h^i w_i adds to the four coefficients of RK45's
-# dense output, h K^T P; its first four rows are diag(1, 1/2, 1/6, 1/24).
+# i = 1..6 of y_new (its i = 0 term is y) and i = 1..7 of the error.
 # Each ratio of integers is the float nearest the exact coefficient.
 _Y_NEW = np.array([1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600])
 _ERROR = np.array([0, 0, 0, 0, 97 / 120000, -13 / 40000, 1 / 24000])
-_DENSE = np.array([
-    [1, 0, 0, 0],
-    [0, 1 / 2, 0, 0],
-    [0, 0, 1 / 6, 0],
-    [0, 0, 0, 1 / 24],
-    [0, 5112093 / 587608460, -90725539 / 3525650760, 22358351 / 881412690],
-    [0, -17546271 / 2938042300, 181174829 / 17628253800, -2325839 / 881412690],
-    [0, 6769587 / 2938042300, -110615467 / 17628253800, 13999589 / 3525650760],
-])
 # Buffer i of [y, w_1, ..., w_7] after an accepted step is _ACCEPT[i] before.
 _ACCEPT = (7, 6, 2, 3, 4, 5, 1, 0)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -226,7 +218,6 @@ class HEOMPropagator:
         t_end = float(times[-1])
         y = self.initial_hierarchy(rho0)
         samples = np.empty((times.size, N_SITES, N_SITES))
-        samples[0] = y[0]
 
         cfg = self.config
         # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
@@ -238,7 +229,7 @@ class HEOMPropagator:
         step, weights_ptr = kernel.LIB.heom_step, weights.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=s[1])
-        accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 1
+        accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 0
         while t < t_end:
             min_step = 10 * abs(np.nextafter(t, math.inf) - t)
             h_abs = min(max(h_abs, min_step), cfg.max_step_fs)
@@ -256,13 +247,10 @@ class HEOMPropagator:
                 # The generator reads no time; every call gets the step's start.
                 for j in range(1, 7):
                     self.rhs(t, s[j], out=s[j + 1])
-                # Samples next_i..covered - 1 are due by t_new, to 1e-12 fs.
-                covered = np.searchsorted(times, t_new + 1e-12, side="right")
-                if covered > next_i:
-                    # RK45's dense output restricted to the physical block,
-                    # read before the pass overwrites w_6 and w_7.
-                    phys = np.stack([b[0] for b in s[1:]]).reshape(7, -1)
-                    poly = phys.T @ (h_powers[:, None] * _DENSE)
+                # The dense output's coefficients of theta^1..theta^6 on
+                # node 0, read before the pass overwrites w_6.
+                phys = np.stack([b[0] for b in s[1:7]]).reshape(6, -1)
+                poly = phys.T * weights[:6]
                 error_norm = step(self.count, weights_ptr, cfg.abs_tol, cfg.rel_tol,
                                   addresses)
                 if not math.isfinite(error_norm):
@@ -279,10 +267,12 @@ class HEOMPropagator:
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
 
-            for i in range(next_i, covered):
-                x = (min(times[i], t_new) - t) / h
-                p = np.cumprod(np.full(poly.shape[1], x))
-                samples[i] = (poly @ p).reshape(N_SITES, N_SITES) + s[0][0]
+            # Samples next_i..covered - 1 are due by t_new, to 1e-12 fs.
+            covered = np.searchsorted(times, t_new + 1e-12, side="right")
+            x = (np.minimum(times[next_i:covered], t_new) - t) / h
+            p = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)
+            samples[next_i:covered] = (poly @ p[:, :, None]).reshape(
+                -1, N_SITES, N_SITES) + s[0][0]
             t, next_i = t_new, covered
             s = [s[i] for i in _ACCEPT]
             addresses = (ctypes.c_void_p * 8)(*(addresses[i] for i in _ACCEPT))

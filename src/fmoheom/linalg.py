@@ -6,6 +6,8 @@ Every matrix input must be Hermitian to HERMITIAN_RTOL relative to its
 largest entry; states returned by `HEOMPropagator.run` are exactly Hermitian.
 """
 
+import math
+
 import numpy as np
 
 # Pauli matrices sigma_1, sigma_2, sigma_3 in the computational basis.
@@ -27,24 +29,23 @@ def check_hermitian(a, name="matrix"):
     Each matrix's defect max|A - A^dagger| is compared against
     HERMITIAN_RTOL times its own max|A|, floored at 1 for near-zero ones.
     A matrix with a NaN or infinite entry fails, and the message names
-    the index of each such entry.
+    the index of each such entry in the first matrix that has one.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    # A NaN or inf entry makes its matrix's scale, and so the largest
+    # scale, non-finite (max propagates NaN).
+    if not math.isfinite(scale.max(initial=1.0)):
+        k = tuple(int(j) for j in np.argwhere(~np.isfinite(scale))[0])
+        where = [k + tuple(map(int, e)) for e in np.argwhere(~np.isfinite(a[k]))]
+        raise NonHermitianError(f"{name} has non-finite entries at {where}")
     defect = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
-    # A NaN or inf entry makes the scale non-finite and the defect NaN or
-    # inf, so their ratio is NaN and fails; defect <= rtol * scale would
-    # admit an inf entry that faces a finite one.
     good = defect / scale <= HERMITIAN_RTOL
     if not good.all():
         i = np.flatnonzero(~good)[0]
         d, s = defect.flat[i], scale.flat[i]
-        if not np.isfinite(s):
-            k = tuple(int(j) for j in np.unravel_index(i, good.shape))
-            where = [k + tuple(map(int, e)) for e in np.argwhere(~np.isfinite(a[k]))]
-            raise NonHermitianError(f"{name} has non-finite entries at {where}")
         raise NonHermitianError(
             f"{name} is not Hermitian: defect {d:.3e} exceeds "
             f"{HERMITIAN_RTOL:.1e} * max|entry| = {HERMITIAN_RTOL * s:.3e}"

@@ -152,6 +152,15 @@ class TestConfig:
         assert cfg.initial_site == 2 and isinstance(cfg.initial_site, int)
         assert cfg.pairs == "all" and len(cfg.pair_list()) == 21
 
+    def test_pair_sites_parse_as_integers(self):
+        # A pair's sites parse as every other integer key does.
+        cfg = load_run_config(overrides=["pairs=1.0-2,6-5.0"])
+        assert cfg.pair_list() == [(1, 2), (5, 6)]
+        assert all(isinstance(site, int) for pair in cfg.pairs for site in pair)
+        with pytest.raises(ConfigError, match=re.escape(
+                "pairs: bad pair '1.5-2', expected like 1-2")):
+            load_run_config(overrides=["pairs=1.5-2"])
+
     def test_override_without_equals_rejected(self):
         with pytest.raises(ConfigError, match="override must look like key=value"):
             load_run_config(overrides=["pairs"])

@@ -325,28 +325,44 @@ class TestIntegration:
 
     @staticmethod
     def _solve_ivp_reference(prop, traj):
-        """scipy's RK45 on the node-by-node complex generator, same settings."""
+        """scipy's RK45 on the node-by-node complex generator, same settings,
+        and the dense output `run` defines on its steps: at each output time
+        t, node 0 of sum_i c_i (t - t_j)^i L^i y_j, i = 0..6, with c_i the
+        coefficients of the fifth-order solution and y_j scipy's state at
+        the start t_j of the step that holds t."""
         cfg, shape = prop.config, (prop.count, 7, 7)
         z0 = np.zeros(shape, dtype=complex)
         z0[0] = localized_state(1)
         sol = solve_ivp(lambda t, y: reference_rhs(prop, y.reshape(shape)).reshape(-1),
-                        (0.0, traj.times_fs[-1]), z0.reshape(-1),
-                        method="RK45", t_eval=traj.times_fs,
+                        (0.0, traj.times_fs[-1]), z0.reshape(-1), method="RK45",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol,
                         first_step=cfg.initial_step_fs, max_step=cfg.max_step_fs)
         assert sol.status == 0
-        return sol, sol.y[:49].T.reshape(-1, 7, 7)
+        # Without t_eval, sol.t are the step boundaries and sol.y the states
+        # there. Step j spans (t_j, t_(j+1)]; t = 0 lies in the first.
+        steps = np.maximum(np.searchsorted(sol.t, traj.times_fs) - 1, 0)
+        coefficients = [1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600]
+        ref = np.empty((traj.times_fs.size, 7, 7), dtype=complex)
+        for j in np.unique(steps):
+            w = [sol.y[:, j].reshape(shape)]
+            for _ in range(6):
+                w.append(reference_rhs(prop, w[-1]))
+            for i in np.flatnonzero(steps == j):
+                dt = traj.times_fs[i] - sol.t[j]
+                ref[i] = sum(c * dt ** k * wk[0]
+                             for k, (c, wk) in enumerate(zip(coefficients, w)))
+        return sol, ref
 
     def test_dense_output_matches_solve_ivp(self):
         # The loop on real storage against scipy's RK45 on the complex
-        # state: the same step sequence, and the physical-block interpolant
-        # against scipy's own dense output.
+        # state: the same step sequence, and the physical block of the
+        # dense output against the step polynomial on scipy's states.
         p = SystemParams(truncation_N=1, t_end_fs=60.0, dt_out_fs=0.25)
         prop = HEOMPropagator(p)
         traj = prop.run(localized_state(1))
         sol, ref = self._solve_ivp_reference(prop, traj)
         assert traj.stats.nfev == sol.nfev
-        # Several samples per step (six RHS calls), so the interpolant is
+        # Several samples per step (six RHS calls), so the dense output is
         # really exercised.
         assert traj.times_fs.size >= 3 * (sol.nfev // 6)
         np.testing.assert_allclose(traj.rhos, ref, rtol=0, atol=1e-14)
@@ -446,6 +462,29 @@ class TestIntegration:
         rhos = HEOMPropagator(params).run(rho0).rhos
         assert np.array_equal(rhos, rhos.conj().swapaxes(-2, -1))
 
+    @pytest.mark.parametrize("kind,x", [("localized", x) for x in range(1, 8)]
+                             + [("fret", 1), ("fret", 6)])
+    def test_first_sample_is_the_start_state(self, basis, kind, x):
+        # Sample 0 is the theta = 0 row of the first step's dense output.
+        rho0 = localized_state(x) if kind == "localized" else fret_state(x, basis)
+        prop = HEOMPropagator(SystemParams(truncation_N=2, t_end_fs=5.0))
+        stored = from_real(prop.initial_hierarchy(rho0)[0])
+        first = prop.run(rho0).rhos[0]
+        assert np.array_equal(first.view(np.uint64), stored.view(np.uint64))
+
+    def test_samples_do_not_depend_on_the_grid(self):
+        # Every sample of a step is its own row of one product, so a grid
+        # and a coarser grid within it share their samples bit for bit.
+        def run(dt_out_fs):
+            params = SystemParams(truncation_N=3, t_end_fs=100.0, dt_out_fs=dt_out_fs)
+            return HEOMPropagator(params).run(localized_state(1))
+
+        fine, coarse = run(0.5), run(1.0)
+        assert np.array_equal(fine.times_fs[::2], coarse.times_fs)
+        assert fine.stats == coarse.stats
+        assert np.array_equal(fine.rhos[::2].view(np.uint64),
+                              coarse.rhos.view(np.uint64))
+
     def test_complex_hamiltonian_with_zero_imaginary_part(self):
         # A complex dtype is accepted when every imaginary part is zero, and
         # integrates the same real Hamiltonian.
@@ -496,7 +535,6 @@ class TestIntegration:
             prop.run(rho)
         assert calls[0] == 0
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_initial_state_rejected(self, params, value):
         # The gate, not the integrator, must refuse such a start, and name it.

@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import RK45
 
 from fmoheom import kernel
-from fmoheom.heom import _DENSE, _ERROR, _Y_NEW
+from fmoheom.heom import _ERROR, _Y_NEW
 from fmoheom.model import N_SITES
 
 SRC = Path(kernel.__file__).resolve().parents[1]
@@ -137,9 +137,7 @@ def _rational(rows):
 # exact. Row s - 1 of _A gives stage s from stages 0..s-1, stage 0 being
 # f(y); the last row is the fifth-order solution, whose derivative is
 # stage 6 and the first stage of the next step (FSAL). _E is the fifth-
-# minus fourth-order weight over all seven stages and _P the quartic
-# dense-output polynomial of `solve_ivp`'s RK45 (Shampine, Math. Comp. 46,
-# 135 (1986)).
+# minus fourth-order weight over all seven stages.
 _A = _rational("""
     1/5
     3/40        9/40
@@ -149,25 +147,14 @@ _A = _rational("""
     35/384      0            500/1113    125/192   -2187/6784   11/84
 """)
 _E = _rational("-71/57600 0 71/16695 -71/1920 17253/339200 -22/525 1/40")[0]
-_P = _rational("""
-    1  -8048581381/2820520608    8663915743/2820520608      -12715105075/11282082432
-    0  0                         0                          0
-    0  131558114200/32700410799  -68118460800/10900136933   87487479700/32700410799
-    0  -1754552775/470086768     14199869525/1410260304     -10690763975/1880347072
-    0  127303824393/49829197408  -318862633887/49829197408  701980252875/199316789632
-    0  -282668133/205662961      2019193451/616988883       -1453857185/822651844
-    0  40617522/29380423         -110615467/29380423        69997945/29380423
-""")
 
 
 def step_polynomials():
     """One Dormand-Prince step for y' = L y as polynomials in z = hL, exact.
 
-    Returns (y_new, error, dense): y_new[i] and error[i] are the
-    coefficients of z^i y, i = 0..7, in the fifth-order solution and in the
-    error estimate h sum_s E_s k_s; row i - 1 of the 7 x 4 `dense` is what
-    z^i y, i = 1..7, contributes to RK45's dense-output coefficients
-    h K^T P.
+    Returns (y_new, error): y_new[i] and error[i] are the coefficients of
+    z^i y, i = 0..7, in the fifth-order solution and in the error estimate
+    h sum_s E_s k_s.
     """
     k = []  # h k_s as the coefficients of z^0..z^7 y
     for row in [[], *_A]:
@@ -176,29 +163,26 @@ def step_polynomials():
         k.append([Fraction(0), *state[:7]])
     y_new = state  # the state of stage 6, from the last row of _A
     error = [sum(e * kj[i] for e, kj in zip(_E, k)) for i in range(8)]
-    dense = [[sum(kj[i] * p[col] for kj, p in zip(k, _P)) for col in range(4)]
-             for i in range(1, 8)]
-    return y_new, error, dense
+    return y_new, error
 
 
 def test_step_polynomials_are_the_closed_forms():
     # The kernel's coefficients, derived exactly from the stage tableau:
     # every float `run` hands the compiled pass is the nearest float to
     # the exact coefficient.
-    y_new, error, dense = step_polynomials()
+    y_new, error = step_polynomials()
     F = Fraction
     assert y_new == [1, 1, F(1, 2), F(1, 6), F(1, 24), F(1, 120), F(1, 600), 0]
     assert error == [0, 0, 0, 0, 0, F(97, 120000), F(-13, 40000), F(1, 24000)]
-    assert all(isinstance(x, Fraction) for x in [*y_new, *error, *np.ravel(dense)])
+    assert all(isinstance(x, Fraction) for x in [*y_new, *error])
     assert list(_Y_NEW) == [float(x) for x in y_new[1:7]]
     assert list(_ERROR) == [float(x) for x in error[1:]]
-    assert _DENSE.tolist() == [[float(x) for x in row] for row in dense]
 
 
 def test_polynomial_step_reproduces_the_stage_form():
     # scipy's RK45 tableau, stage by stage, on a random linear generator
-    # against the chain w_i = L^i y: the fifth-order solution, the error
-    # estimate and RK45's dense-output coefficients h K^T P.
+    # against the chain w_i = L^i y: the fifth-order solution and the error
+    # estimate.
     rng = np.random.default_rng(7)
     gen = rng.normal(size=(5, 5)) / 3.0
     y = rng.normal(size=5)
@@ -212,7 +196,6 @@ def test_polynomial_step_reproduces_the_stage_form():
     hw = np.stack([h ** i * np.linalg.matrix_power(gen, i) @ y for i in range(1, 8)])
     np.testing.assert_allclose(y + _Y_NEW @ hw[:6], y5, rtol=0, atol=1e-14)
     np.testing.assert_allclose(_ERROR @ hw, h * (RK45.E @ k), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(hw.T @ _DENSE, h * (k.T @ RK45.P), rtol=0, atol=1e-14)
 
 
 def test_source_compiles_without_warnings():

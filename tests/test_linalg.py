@@ -92,8 +92,6 @@ class TestCheckHermitian:
             "correlation_matrix", "wootters_concurrence"])
     @pytest.mark.parametrize("entry", [(0, 1), (2, 2)], ids=["off_diag", "diag"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    # numpy warns on inf - inf in the defect before the check raises.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_entries_rejected(self, func, rho, entry, value):
         # NaN compares False with every bound and an inf entry makes the
         # tolerance infinite: both must fail the check, which names them.
@@ -102,7 +100,6 @@ class TestCheckHermitian:
         with pytest.raises(NonHermitianError, match=r"non-finite entries at \[\("):
             func(a)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_message_names_every_entry(self):
         a = np.stack([np.eye(3, dtype=complex)] * 4)
         a[2, 0, 1] = a[2, 1, 0] = np.inf
