@@ -21,7 +21,6 @@ class ShortTimePrediction:
     zero at leading order.
     """
 
-    pair: tuple
     slope_C: float            # rad/fs
     slope_B: float            # rad/fs
     quadratic_C_coeff: float  # (rad/fs)^2
@@ -43,13 +42,12 @@ def short_time_oracle(x, params):
             )
             slope_b = 2.0 * np.sqrt(max(jx ** 2 - rest, 0.0))
             preds[(m, n)] = ShortTimePrediction(
-                pair=(m, n), slope_C=2.0 * abs(jx), slope_B=slope_b,
-                quadratic_C_coeff=0.0,
+                slope_C=2.0 * abs(jx), slope_B=slope_b, quadratic_C_coeff=0.0,
             )
         else:
             quad = 2.0 * abs(j[m - 1, x - 1] * j[x - 1, n - 1])
             preds[(m, n)] = ShortTimePrediction(
-                pair=(m, n), slope_C=0.0, slope_B=0.0, quadratic_C_coeff=quad,
+                slope_C=0.0, slope_B=0.0, quadratic_C_coeff=quad,
             )
     return preds
 
@@ -77,7 +75,6 @@ class FretInterferenceReport:
     sign on site x interfere destructively.
     """
 
-    x: int
     m: int
     n: int
     weights: np.ndarray        # c_rx^2 per exciton, ascending energy
@@ -103,16 +100,15 @@ def fret_interference_report(x, basis):
 
     weights = coeffs[:, x - 1] ** 2
     pair_norm = coeffs[:, m - 1] ** 2 + coeffs[:, n - 1] ** 2
-    pure_bc = np.where(
-        pair_norm > 0,
-        2.0 * np.abs(coeffs[:, m - 1] * coeffs[:, n - 1]) / pair_norm,
-        0.0,
+    pure_bc = np.divide(
+        2.0 * np.abs(coeffs[:, m - 1] * coeffs[:, n - 1]), pair_norm,
+        out=np.zeros_like(pair_norm), where=pair_norm > 0,
     )
     contributions = weights * coeffs[:, m - 1] * coeffs[:, n - 1]
     r1, r2 = np.argsort(weights)[::-1][:2]
     reduced = reduce_pair(rho, m, n)
     return FretInterferenceReport(
-        x=x, m=m, n=n,
+        m=m, n=n,
         weights=weights,
         pure_BC=pure_bc,
         contributions=contributions,
@@ -128,11 +124,9 @@ def fret_interference_report(x, basis):
 
 @dataclass(frozen=True)
 class SuddenDeathReport:
-    pair: tuple
     death_time_fs: Optional[float]
     peak_B: float
     peak_time_fs: float
-    threshold: float
 
 
 def detect_sudden_death(series, threshold=1e-6):
@@ -149,8 +143,7 @@ def detect_sudden_death(series, threshold=1e-6):
     i_peak = int(np.argmax(b))
     peak_b = float(b[i_peak])
     above = b > threshold
-    report = dict(pair=(series.m, series.n), peak_B=peak_b,
-                  peak_time_fs=float(t[i_peak]), threshold=threshold)
+    report = dict(peak_B=peak_b, peak_time_fs=float(t[i_peak]))
     if not above.any() or above[-1]:
         return SuddenDeathReport(death_time_fs=None, **report)
     i = int(np.where(above)[0][-1])
@@ -161,8 +154,6 @@ def detect_sudden_death(series, threshold=1e-6):
 
 @dataclass(frozen=True)
 class ShortTimeFit:
-    pair: tuple
-    window_fs: float
     fitted_slope_C: float
     fitted_slope_B: float
     fitted_quadratic_C: float
@@ -171,14 +162,14 @@ class ShortTimeFit:
     rel_dev_quadratic_C: Optional[float]
 
 
-def _fit_leading(t, y, powers, lead, window_fs):
-    """Least-squares fit of y ~ sum_p a_p t^p; return coefficient of t^lead."""
+def _fit_leading(t, y, powers, window_fs):
+    """Least-squares fit of y ~ sum_p a_p t^p; return a_p of the first power."""
     a = np.vstack([t ** p for p in powers]).T
     coeffs, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     if rank < len(powers):
         raise ValueError(f"window_fs = {window_fs} fs holds {t.size} samples, "
                          f"too few to fit {len(powers)} terms")
-    return float(coeffs[powers.index(lead)])
+    return float(coeffs[0])
 
 
 def short_time_validation(series, prediction, window_fs=5.0):
@@ -195,16 +186,14 @@ def short_time_validation(series, prediction, window_fs=5.0):
     cw = series.C[sel]
     bw = series.B[sel]
 
-    slope_c = _fit_leading(tw, cw, [1, 2, 3], 1, window_fs)
-    slope_b = _fit_leading(tw, bw, [1, 2, 3], 1, window_fs)
-    quad_c = _fit_leading(tw, cw, [2, 3, 4], 2, window_fs)
+    slope_c = _fit_leading(tw, cw, [1, 2, 3], window_fs)
+    slope_b = _fit_leading(tw, bw, [1, 2, 3], window_fs)
+    quad_c = _fit_leading(tw, cw, [2, 3, 4], window_fs)
 
     def rel(fit, ref):
         return abs(fit - ref) / abs(ref) if ref != 0.0 else None
 
     return ShortTimeFit(
-        pair=(series.m, series.n),
-        window_fs=window_fs,
         fitted_slope_C=slope_c,
         fitted_slope_B=slope_b,
         fitted_quadratic_C=quad_c,

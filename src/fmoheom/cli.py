@@ -82,7 +82,7 @@ def cmd_sudden_death(cfg, outdir, args):
     for m, nn in cfg.pair_list():
         s = measures.pair_series(traj, m, nn)
         r = analysis.detect_sudden_death(s, threshold=args.threshold)
-        rows.append((m, nn, r.death_time_fs, r.peak_B, r.peak_time_fs, r.threshold))
+        rows.append((m, nn, r.death_time_fs, r.peak_B, r.peak_time_fs, args.threshold))
     write_csv(
         outdir / "sudden_death.csv",
         ["pair_m", "pair_n", "death_time_fs", "peak_B", "peak_time_fs", "threshold"],
@@ -132,7 +132,7 @@ def cmd_fret_report(cfg, outdir, args):
         outdir / "fret_summary.csv",
         ["x", "pair_m", "pair_n", "coherence_two_state", "coherence_full",
          "pop_m", "pop_n", "horodecki_M", "non_paper_site"],
-        [(rep.x, rep.m, rep.n, rep.coherence_two_state, rep.coherence_full,
+        [(cfg.initial_site, rep.m, rep.n, rep.coherence_two_state, rep.coherence_full,
           rep.pop_m, rep.pop_n, rep.horodecki_M_full, int(rep.non_paper_site))],
     )
     return 0

@@ -35,6 +35,8 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key in {raw!r}")
         if key in lines:
             raise ConfigError(f"{key} is set twice, on lines {lines[key]} and {lineno}")
         lines[key] = lineno
@@ -198,6 +200,8 @@ def load_run_config(path=None, overrides=()):
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
+        if not key:
+            raise ConfigError(f"override has an empty key: {item!r}")
         if key in given:
             raise ConfigError(f"{key} is set twice by --set")
         given[key] = value.strip()

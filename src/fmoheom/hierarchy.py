@@ -28,6 +28,13 @@ def _is_integer(value):
 
 def hierarchy_count(n_sites, depth_max):
     """Number of multi-indices with sum <= depth_max (stars and bars)."""
+    for name, value in (("n_sites", n_sites), ("depth_max", depth_max)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n_sites < 0:
+        raise ValueError("n_sites must be nonnegative")
+    if depth_max < 0:
+        raise ValueError("truncation depth must be nonnegative")
     return comb(depth_max + n_sites, n_sites)
 
 
@@ -65,11 +72,6 @@ class HierarchyIndexSpace:
 
 def enumerate_hierarchy(n_sites, depth_max):
     """Build the HierarchyIndexSpace for sum(n) <= depth_max."""
-    for name, value in (("n_sites", n_sites), ("depth_max", depth_max)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if depth_max < 0:
-        raise ValueError("truncation depth must be nonnegative")
     count = hierarchy_count(n_sites, depth_max)
     if count > MAX_NODES:
         raise ValueError(

@@ -10,7 +10,8 @@ from fmoheom.analysis import (
 )
 from fmoheom.heom import HEOMPropagator
 from fmoheom.measures import CorrelationTimeSeries, pair_series
-from fmoheom.model import CM_TO_RADFS, SystemParams, fret_state, localized_state
+from fmoheom.model import (CM_TO_RADFS, SystemParams, exciton_basis, fret_state,
+                           localized_state)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,17 @@ class TestFretReport:
     def test_non_paper_site_flagged(self, basis):
         rep = fret_interference_report(3, basis)
         assert rep.non_paper_site
+
+    @pytest.mark.parametrize("x", range(1, 7))
+    def test_exciton_off_the_pair_scores_zero(self, x):
+        # Site 7 uncoupled: its exciton has no weight on the pair (m, n), and
+        # its pure_BC is 0 rather than 0/0.
+        h = SystemParams(truncation_N=0).hamiltonian_cm.copy()
+        h[6, :6] = h[:6, 6] = 0.0
+        basis = exciton_basis(SystemParams(truncation_N=0, hamiltonian_cm=h))
+        rep = fret_interference_report(x, basis)
+        assert 7 not in (rep.m, rep.n)
+        assert rep.pure_BC[np.argmax(np.abs(basis.coeffs[:, 6]))] == 0.0
 
     def test_destructive_interference(self, basis):
         rep = fret_interference_report(1, basis)

@@ -248,6 +248,18 @@ class TestConfig:
         assert "lines 1 and 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_key_in_a_file_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 1: empty key in '= 5'$"):
+            parse_config_text("= 5")
+
+    def test_empty_key_in_an_override_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"^override has an empty key: '=5'$"):
+            load_run_config(overrides=["=5"])
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), *FAST, "--set", "=5"]) == 1
+        assert "override has an empty key: '=5'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_key_set_twice_by_overrides_rejected(self, tmp_path, capsys):
         # Two --set of one key fail like two lines of a file, naming the key,
         # before any output exists.
@@ -418,6 +430,13 @@ class TestSuddenDeathCommand:
                            "peak_time_fs,threshold")
         assert len(rows) == 3
 
+    def test_threshold_column(self, tmp_path):
+        out = tmp_path / "sd"
+        assert main(["sudden-death", "--out", str(out), *FAST,
+                     "--set", "pairs=1-2,3-4", "--threshold", "1e-3"]) == 0
+        rows = (out / "sudden_death.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["1.00000000000e-03"] * 2
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_bad_threshold_fails_before_running(self, tmp_path, capsys, threshold):
         out = tmp_path / "sd"
@@ -455,6 +474,12 @@ class TestFretReportCommand:
         assert len(rows) == 8
         summary = (out / "fret_summary.csv").read_text().splitlines()[1].split(",")
         assert summary[0] == "1" and summary[1] == "1" and summary[2] == "2"
+
+    def test_site_column(self, tmp_path):
+        out = tmp_path / "fr"
+        assert main(["fret-report", "--out", str(out), "--set", "initial.site=6"]) == 0
+        summary = (out / "fret_summary.csv").read_text().splitlines()[1].split(",")
+        assert summary[0] == "6"
 
 
 class TestWriteCsv:

@@ -21,6 +21,15 @@ class TestCounting:
         with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
             enumerate_hierarchy(7, -1)
 
+    @pytest.mark.parametrize("count,n_sites,depth,message", [
+        (hierarchy_count, 7, -1, "truncation depth must be nonnegative"),
+        (hierarchy_count, -1, 2, "n_sites must be nonnegative"),
+        (enumerate_hierarchy, -1, 2, "n_sites must be nonnegative"),
+    ])
+    def test_negative_argument_named(self, count, n_sites, depth, message):
+        with pytest.raises(ValueError, match=message):
+            count(n_sites, depth)
+
     @pytest.mark.parametrize("n_sites,depth", [(7, True), (True, 2), (7, 2.5),
                                                (7.0, 2), (7, "2")])
     def test_non_integer_arguments_rejected(self, n_sites, depth):
