@@ -97,13 +97,10 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
         }
         /* dQ = Re P' - (Im P')^T, entry by entry: a vector store of the
          * 7-double rows would go through the stack. */
-        double re[N][8], im[N][8];
-        memcpy(re, pr, sizeof re);
-        memcpy(im, pi, sizeof im);
         double *oc = out + c * NN;
         for (int j = 0; j < N; j++)
             for (int l = 0; l < N; l++)
-                oc[j * N + l] = re[j][l] - im[l][j];
+                oc[j * N + l] = pr[j][l] - pi[l][j];
     }
 }
 

@@ -198,8 +198,8 @@ def main(argv=None):
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
         return args.run(cfg, outdir, args)
-    except (ValueError, OSError, heom.IntegrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, heom.IntegrationError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -51,9 +51,8 @@ An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
 w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass,
 `heom_step` in `_kernel.c`, then returns the error norm and writes y_new
 into w_7's buffer and f(y_new) into w_6's; `_kernel.c` states what it
-reads and writes and how it takes the norm. Acceptance permutes the list
-by `_ACCEPT`: y and w_1 take those two buffers, and the old w_1 and y
-become w_6 and w_7. A rejected attempt recomputes the chain from the
+reads and writes and how it takes the norm. Acceptance swaps y with w_7
+and w_1 with w_6. A rejected attempt recomputes the chain from the
 untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
 This form holds only while the generator stays linear and
 time-independent: a time-dependent term, such as a pulsed field, would
@@ -84,8 +83,6 @@ from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
 # Each ratio of integers is the float nearest the exact coefficient.
 _Y_NEW = np.array([1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600])
 _ERROR = np.array([0, 0, 0, 0, 97 / 120000, -13 / 40000, 1 / 24000])
-# Buffer i of [y, w_1, ..., w_7] after an accepted step is _ACCEPT[i] before.
-_ACCEPT = (7, 6, 2, 3, 4, 5, 1, 0)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
@@ -221,12 +218,11 @@ class HEOMPropagator:
 
         cfg = self.config
         # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
-        # addresses, permuted together, and its weights: _Y_NEW, then _ERROR,
+        # addresses, swapped together, and its weights: _Y_NEW, then _ERROR,
         # times h^i. All of them live until the loop ends.
         s = [y, *np.empty((7,) + y.shape)]
         addresses = (ctypes.c_void_p * 8)(*(b.ctypes.data for b in s))
         weights = np.empty(_Y_NEW.size + _ERROR.size)
-        step, weights_ptr = kernel.LIB.heom_step, weights.ctypes.data
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=s[1])
         accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 0
@@ -251,8 +247,8 @@ class HEOMPropagator:
                 # node 0, read before the pass overwrites w_6.
                 phys = np.stack([b[0] for b in s[1:7]]).reshape(6, -1)
                 poly = phys.T * weights[:6]
-                error_norm = step(self.count, weights_ptr, cfg.abs_tol, cfg.rel_tol,
-                                  addresses)
+                error_norm = kernel.LIB.heom_step(self.count, weights.ctypes.data,
+                                                  cfg.abs_tol, cfg.rel_tol, addresses)
                 if not math.isfinite(error_norm):
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
@@ -274,8 +270,9 @@ class HEOMPropagator:
             samples[next_i:covered] = (poly @ p[:, :, None]).reshape(
                 -1, N_SITES, N_SITES) + s[0][0]
             t, next_i = t_new, covered
-            s = [s[i] for i in _ACCEPT]
-            addresses = (ctypes.c_void_p * 8)(*(addresses[i] for i in _ACCEPT))
+            # y and w_1 take y_new from w_7 and f(y_new) from w_6.
+            for b in (s, addresses):
+                b[0], b[1], b[6], b[7] = b[7], b[6], b[1], b[0]
         stats = IntegratorStats(nfev=1 + 6 * (accepted + rejected), accepted=accepted,
                                 rejected=rejected, min_step_fs=h_min, max_step_fs=h_max)
         return Trajectory(times_fs=times, rhos=from_real(samples),

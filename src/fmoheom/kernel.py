@@ -8,7 +8,8 @@ module is imported in an environment, and loaded with ctypes:
 The library is cached in ${XDG_CACHE_HOME:-~/.cache}/fmoheom/, where
 KEY hashes the source, COMPILER, FLAGS and the CPU identity
 (`cpu_identity`): a build for one CPU is never loaded on another, and
-checkouts of one source share a build. Old builds are never removed. A
+checkouts of one source share a build. A relative XDG_CACHE_HOME is
+ignored, as the XDG Base Directory spec asks. Old builds are never removed. A
 build is written to a temporary file and moved into place, so concurrent
 first imports each see either no library or a complete one. A missing
 or failing compiler raises ImportError naming the command.
@@ -61,8 +62,8 @@ def bind(count, h, r, n, down, up, a, b, gamma):
 
 
 def cache_dir():
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-    return Path(base) / "fmoheom"
+    base = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    return (base if base.is_absolute() else Path.home() / ".cache") / "fmoheom"
 
 
 def cpu_identity():

@@ -383,6 +383,18 @@ class TestSimulate:
         assert "error: Dormand-Prince step failed at t = " in err
         assert "(the error estimate was not finite)" in err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 9.22 GiB for an array", None), ("", "MemoryError")])
+    def test_unallocatable_hierarchy_exit_code(self, tmp_path, capsys, monkeypatch,
+                                               message, shown):
+        # At N = 25 the seven step buffers alone need about 9.2 GB.
+        def no_memory(self, rho0):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(HEOMPropagator, "run", no_memory)
+        assert main(["simulate", "--out", str(tmp_path / "out"), *FAST]) == 1
+        assert capsys.readouterr().err == f"error: {shown or message}\n"
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path),
                    "--set", "bogus.key=1"])

@@ -227,6 +227,16 @@ def test_cli_import_loads_no_exact_arithmetic():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_cache_dir_ignores_a_relative_xdg_cache_home(tmp_path, monkeypatch, relative):
+    # The XDG Base Directory spec: a relative path is invalid and ignored,
+    # so one setting cannot put a build in every working directory.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache" if relative else str(tmp_path / "xdg"))
+    expected = tmp_path / "home" / ".cache" if relative else tmp_path / "xdg"
+    assert kernel.cache_dir() == expected / "fmoheom"
+
+
 def test_first_import_builds_one_library_then_reuses_it(tmp_path):
     first = _import_fmoheom(tmp_path)
     assert len(first) == 1 and first[0].suffix == ".so"
