@@ -114,7 +114,7 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
  * multiply-add makes the sum depend on the order of the pair, and the two
  * entries of a pair in the RMS sum are added first: Q^T, that is zeta*, has
  * the norm of Q bit for bit. s holds the addresses of y, w_1..w_7, and
- * weights the six c_i h^i, then the seven e_i h^i. Each node is read from
+ * weights the six c_i h^i, then the seven e_i h^i. Each entry is read from
  * all eight buffers, then y_new = y + sum_{i=1..6} c_i h^i w_i is written
  * into s[7] and f(y_new) = w_1 + sum_{i=1..6} c_i h^i w_{i+1} into s[6]. */
 double heom_step(long count, const double *weights, double atol, double rtol,
@@ -127,24 +127,25 @@ double heom_step(long count, const double *weights, double atol, double rtol,
     memcpy(eh, weights + STEPS - 1, sizeof eh);
     for (long node = 0; node < count; node++) {
         long o = node * NN;
-        const double *yc = s[0] + o;
-        double yn[NN], f[NN], err[NN], sq[NN], sq_new[NN], inv[NN];
+        double err[NN], sq[NN], sq_new[NN], inv[NN];
+        /* The eight buffers do not overlap, so entry i reads and writes
+         * only entry i of each and the entries vectorize. Each sum takes
+         * its terms in registers, in the order written. */
+#pragma GCC ivdep
         for (int i = 0; i < NN; i++) {
-            yn[i] = yc[i];
-            f[i] = s[1][o + i];
-            err[i] = eh[STEPS - 1] * s[STEPS][o + i];
-        }
-        for (int j = 0; j < STEPS - 1; j++) {
-            const double *wj = s[j + 1] + o, *wk = s[j + 2] + o;
-            for (int i = 0; i < NN; i++) {
-                yn[i] += ch[j] * wj[i];
-                f[i] += ch[j] * wk[i];
-                err[i] += eh[j] * wj[i];
+            double y = s[0][o + i], yn = y, f = s[1][o + i];
+            double e = eh[STEPS - 1] * s[STEPS][o + i];
+            for (int j = 0; j < STEPS - 1; j++) {
+                double wj = s[j + 1][o + i];
+                yn += ch[j] * wj;
+                f += ch[j] * s[j + 2][o + i];
+                e += eh[j] * wj;
             }
-        }
-        for (int i = 0; i < NN; i++) {
-            sq[i] = yc[i] * yc[i];
-            sq_new[i] = yn[i] * yn[i];
+            err[i] = e;
+            sq[i] = y * y;
+            sq_new[i] = yn * yn;
+            s[7][o + i] = yn;
+            s[6][o + i] = f;
         }
         for (int i = 0; i < N; i++) /* one scale per pair */
             for (int j = i; j < N; j++) {
@@ -156,8 +157,6 @@ double heom_step(long count, const double *weights, double atol, double rtol,
             double r = err[i] * inv[i];
             sum[i] += r * r;
         }
-        memcpy(s[7] + o, yn, sizeof yn);
-        memcpy(s[6] + o, f, sizeof f);
     }
     for (int i = 0; i < N; i++) {
         total += sum[i * N + i];

@@ -23,6 +23,12 @@ class NonHermitianError(ValueError):
     """Raised when a matrix required to be Hermitian is not, beyond tolerance."""
 
 
+def _all(mask):
+    """mask.all() for a NumPy bool or bool array. One matrix gives a bool
+    scalar, which count_nonzero reads as it is and .all() first converts."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def check_hermitian(a, name="matrix"):
     """Validate that `a`, a square matrix or a stack of them, is Hermitian.
 
@@ -35,29 +41,21 @@ def check_hermitian(a, name="matrix"):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
-    # A NaN or inf entry makes its matrix's scale, and so the largest
-    # scale, non-finite (max propagates NaN).
-    if not math.isfinite(scale.max(initial=1.0)):
+    # A NaN or inf entry makes its matrix's scale non-finite (max
+    # propagates NaN), and scale < inf is False for both.
+    if not _all(scale < math.inf):
         k = tuple(int(j) for j in np.argwhere(~np.isfinite(scale))[0])
         where = [k + tuple(map(int, e)) for e in np.argwhere(~np.isfinite(a[k]))]
         raise NonHermitianError(f"{name} has non-finite entries at {where}")
     defect = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     good = defect / scale <= HERMITIAN_RTOL
-    if not good.all():
+    if not _all(good):
         i = np.flatnonzero(~good)[0]
         d, s = defect.flat[i], scale.flat[i]
         raise NonHermitianError(
             f"{name} is not Hermitian: defect {d:.3e} exceeds "
             f"{HERMITIAN_RTOL:.1e} * max|entry| = {HERMITIAN_RTOL * s:.3e}"
         )
-    return a
-
-
-def check_hermitian_matrix(a, name="matrix"):
-    """check_hermitian for functions that take one matrix, not a stack."""
-    a = check_hermitian(a, name=name)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be one matrix, got shape {a.shape}")
     return a
 
 

@@ -11,11 +11,12 @@ family, and the general-purpose construction (Horodecki correlation matrix,
 Wootters spin-flip) used as an independent cross-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI, check_hermitian, check_hermitian_matrix
+from .linalg import PAULI, check_hermitian
 from .hierarchy import _is_integer
 from .model import N_SITES
 
@@ -67,14 +68,17 @@ def reduce_pair(rho, m, n):
     dim = rho.shape[-1]
     if not (1 <= m <= dim and 1 <= n <= dim):
         raise ValueError(f"pair ({m},{n}) outside 1..{dim}")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.any(tr > 1.0 + 1e-9):
+    # One state gives scalars, the trace and the entries that [()] takes
+    # out of their 0-d arrays, so the arithmetic and the checks below
+    # (count_nonzero as any) make no array; [()] passes a stack's arrays.
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    if np.count_nonzero(tr > 1.0 + 1e-9):
         raise ValueError(f"state trace {np.max(tr)} exceeds 1")
-    p_m = rho[..., m - 1, m - 1].real
-    p_n = rho[..., n - 1, n - 1].real
-    c = rho[..., m - 1, n - 1]
+    p_m = rho[..., m - 1, m - 1].real[()]
+    p_n = rho[..., n - 1, n - 1].real[()]
+    c = rho[..., m - 1, n - 1][()]
     gg = tr - p_m - p_n
-    if np.any(gg < -1e-9):
+    if np.count_nonzero(gg < -1e-9):
         raise ValueError(f"negative ground-ground population {np.min(gg):.3e}; "
                          "full state is corrupted")
     mat = np.zeros(rho.shape[:-2] + (4, 4), dtype=complex)
@@ -86,9 +90,19 @@ def reduce_pair(rho, m, n):
     return ReducedPairState(m=m, n=n, matrix=mat, source_trace=tr)
 
 
+def _pair_state(rho4):
+    """The gate of every single-state measure: one Hermitian 4x4 matrix."""
+    rho4 = check_hermitian(rho4, name="pair state")
+    if rho4.ndim != 2:
+        raise ValueError(f"pair state must be one matrix, got shape {rho4.shape}")
+    if rho4.shape != (4, 4):
+        raise ValueError(f"pair state must be 4x4, got shape {rho4.shape}")
+    return rho4
+
+
 def correlation_matrix(rho4):
     """3x3 Pauli correlation matrix t_ab = Tr(rho sigma_a x sigma_b)."""
-    rho4 = check_hermitian_matrix(rho4, name="pair state")
+    rho4 = _pair_state(rho4)
     return np.einsum("ij,abji->ab", rho4, PAULI_PAIRS).real
 
 
@@ -105,7 +119,7 @@ def horodecki_M(rho4):
 
 def nonlocality_B(rho4):
     """CHSH nonlocality measure sqrt(max(M - 1, 0)) in [0, 1]."""
-    return float(np.sqrt(max(horodecki_M(rho4) - 1.0, 0.0)))
+    return math.sqrt(max(horodecki_M(rho4) - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -146,14 +160,14 @@ def wootters_concurrence(rho4):
     single-excitation reduced states this equals 2|rho_mn| including the
     trace-deficient case.
     """
-    rho4 = check_hermitian_matrix(rho4, name="pair state")
+    rho4 = _pair_state(rho4)
     evals, vecs = np.linalg.eigh(rho4)
     if evals[0] < -1e-8 * max(evals[-1], 1.0):
         raise ValueError(f"pair state is not positive (min eigenvalue {evals[0]:.3e})")
     # With rho = W W^dagger, the eigenvalues of R are the singular values of
     # W^T (sigma_y x sigma_y) W, accurate to rounding; square roots of the
     # eigenvalues of rho @ rho_tilde turn a 1e-17 error at zero into 3e-9.
-    w = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    w = vecs * np.sqrt(np.maximum(evals, 0.0))
     lam = np.linalg.svd(w.T @ PAULI_PAIRS[1, 1] @ w, compute_uv=False)
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
 

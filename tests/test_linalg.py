@@ -13,6 +13,7 @@ from fmoheom.linalg import (
 from fmoheom.measures import (
     correlation_matrix,
     horodecki_M,
+    nonlocality_B,
     reduce_pair,
     wootters_concurrence,
 )
@@ -64,13 +65,31 @@ class TestCheckHermitian:
         with pytest.raises(ValueError, match="one matrix"):
             func(stack)
 
+    @pytest.mark.parametrize("func", [
+        correlation_matrix,
+        horodecki_M,
+        nonlocality_B,
+        wootters_concurrence,
+    ], ids=["correlation_matrix", "horodecki_M", "nonlocality_B",
+            "wootters_concurrence"])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_single_matrix_functions_reject_other_sizes(self, func, dim):
+        # A Hermitian state that is not 4x4 is refused by the gate, not by numpy.
+        with pytest.raises(ValueError, match=rf"^pair state must be 4x4, "
+                                             rf"got shape \({dim}, {dim}\)$"):
+            func(np.eye(dim) / dim)
+
     @pytest.mark.parametrize("func,rho", [
         (lambda a: trace_distance(a, a), localized_state(1)),
         (lambda a: reduce_pair(a, 1, 2), np.stack([localized_state(1)] * 2)),
         (correlation_matrix, np.diag([0.5, 0.25, 0.25, 0.0])),
         (wootters_concurrence, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (horodecki_M, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (nonlocality_B, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (lambda a: reduce_pair(a, 1, 2), localized_state(1)),
     ], ids=["trace_distance", "reduce_pair",
-            "correlation_matrix", "wootters_concurrence"])
+            "correlation_matrix", "wootters_concurrence",
+            "horodecki_M", "nonlocality_B", "reduce_pair_one_state"])
     def test_every_input_meets_one_tolerance(self, func, rho):
         # A defect just inside HERMITIAN_RTOL passes, ten times more fails.
         def with_defect(factor):
@@ -88,8 +107,12 @@ class TestCheckHermitian:
         (lambda a: reduce_pair(a, 1, 2), np.stack([localized_state(1)] * 3)),
         (correlation_matrix, np.diag([0.5, 0.25, 0.25, 0.0])),
         (wootters_concurrence, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (horodecki_M, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (nonlocality_B, np.diag([0.5, 0.25, 0.25, 0.0])),
+        (lambda a: reduce_pair(a, 1, 2), localized_state(1)),
     ], ids=["trace_distance_A", "trace_distance_B", "reduce_pair",
-            "correlation_matrix", "wootters_concurrence"])
+            "correlation_matrix", "wootters_concurrence",
+            "horodecki_M", "nonlocality_B", "reduce_pair_one_state"])
     @pytest.mark.parametrize("entry", [(0, 1), (2, 2)], ids=["off_diag", "diag"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_entries_rejected(self, func, rho, entry, value):
