@@ -193,7 +193,7 @@ def load_run_config(path=None, overrides=()):
     a key given by two overrides is refused."""
     flat, given = {}, {}
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             flat.update(parse_config_text(fh.read()))
     for item in overrides:
         if "=" not in item:

@@ -11,8 +11,9 @@ KEY hashes the source, COMPILER, FLAGS and the CPU identity
 checkouts of one source share a build. A relative XDG_CACHE_HOME is
 ignored, as the XDG Base Directory spec asks. Old builds are never removed. A
 build is written to a temporary file and moved into place, so concurrent
-first imports each see either no library or a complete one. A missing
-or failing compiler raises ImportError naming the command.
+first imports each see either no library or a complete one. ImportError
+names the command when the compiler is missing or fails, and the directory
+when the cache cannot be created or written.
 """
 
 import ctypes
@@ -93,8 +94,12 @@ def build(directory=None):
     library = directory / f"_kernel-{key.hexdigest()[:16]}.so"
     if library.exists():
         return library
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")
+    except OSError as exc:
+        raise ImportError(f"fmoheom cannot write its kernel cache in {directory}; "
+                          f"set XDG_CACHE_HOME to a writable directory: {exc}") from exc
     os.close(fd)
     command = [COMPILER, *FLAGS, "-o", tmp, str(SOURCE)]
     try:

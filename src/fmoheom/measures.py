@@ -1,10 +1,10 @@
 """Bipartite correlation measures for chromophore pairs.
 
-The reduced two-chromophore state is a 4x4 Hermitian matrix over the
-product basis (both ground, n excited, m excited, both excited); its
-double-excitation sector is empty because the model is restricted to one
-excitation. Measures are evaluated on the trace-carrying reduced state
-(trace <= 1 when trapping is active) without renormalization.
+The reduced two-chromophore state is four numbers, `source_trace`, `pop_m`,
+`pop_n` and `coherence` = rho_mn, and the 4x4 Hermitian `matrix` built from
+them, whose double-excitation sector is empty because the model is
+restricted to one excitation. Measures are evaluated on the trace-carrying
+reduced state (trace <= 1 when trapping is active) without renormalization.
 
 Each measure has two routes: a closed form valid for this single-excitation
 family, and the general-purpose construction (Horodecki correlation matrix,
@@ -12,7 +12,7 @@ Wootters spin-flip) used as an independent cross-check.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,43 +20,41 @@ from .linalg import PAULI, check_hermitian
 from .hierarchy import _is_integer
 from .model import N_SITES
 
-# Basis ordering of the 4x4 pair state, qubit m first:
-# index 0 = |0_m 0_n>, 1 = |0_m 1_n>, 2 = |1_m 0_n>, 3 = |1_m 1_n>.
-GROUND_GROUND, N_EXCITED, M_EXCITED, DOUBLE = 0, 1, 2, 3
-
 # PAULI_PAIRS[a, b] = sigma_a (x) sigma_b, the nine two-qubit Pauli products.
 PAULI_PAIRS = np.einsum("aij,bkl->abikjl", PAULI, PAULI).reshape(3, 3, 4, 4)
 
 
 @dataclass(frozen=True)
 class ReducedPairState:
-    """Reduced state of sites m < n (1-based): one 4x4 matrix or a stack."""
+    """Reduced state of sites m < n (1-based): Tr rho, rho_mm, rho_nn and rho_mn,
+    scalars for one state or arrays over a stack, and the `matrix` built from them."""
 
     m: int
     n: int
-    matrix: np.ndarray
     source_trace: float
+    pop_m: float
+    pop_n: float
+    coherence: complex
+    matrix: np.ndarray = field(init=False)
 
-    @property
-    def pop_m(self):
-        return self.matrix[..., M_EXCITED, M_EXCITED].real
-
-    @property
-    def pop_n(self):
-        return self.matrix[..., N_EXCITED, N_EXCITED].real
-
-    @property
-    def coherence(self):
-        """The site-basis coherence rho_mn (complex)."""
-        return self.matrix[..., N_EXCITED, M_EXCITED]
+    def __post_init__(self):
+        # Product basis, qubit m first: 0 = |0_m 0_n>, 1 = |0_m 1_n>,
+        # 2 = |1_m 0_n>, 3 = |1_m 1_n>; the double excitation stays zero.
+        mat = np.zeros(np.shape(self.source_trace) + (4, 4), dtype=complex)
+        mat[..., 0, 0] = self.source_trace - self.pop_m - self.pop_n
+        mat[..., 1, 1] = self.pop_n
+        mat[..., 2, 2] = self.pop_m
+        mat[..., 1, 2] = self.coherence
+        mat[..., 2, 1] = np.conj(self.coherence)
+        object.__setattr__(self, "matrix", mat)
 
 
 def reduce_pair(rho, m, n):
     """Trace out all chromophores except m and n from the 7x7 state.
 
     `rho` is one state or a (T, 7, 7) stack, reduced matrix by matrix.
-    The ground-ground population is Tr(rho) - rho_mm - rho_nn; the
-    double-excitation row and column are identically zero.
+    The ground-ground population Tr(rho) - rho_mm - rho_nn must not be
+    negative.
     """
     if not (_is_integer(m) and _is_integer(n)):
         raise ValueError(f"pair sites must be integers, got ({m!r}, {n!r})")
@@ -81,13 +79,8 @@ def reduce_pair(rho, m, n):
     if np.count_nonzero(gg < -1e-9):
         raise ValueError(f"negative ground-ground population {np.min(gg):.3e}; "
                          "full state is corrupted")
-    mat = np.zeros(rho.shape[:-2] + (4, 4), dtype=complex)
-    mat[..., GROUND_GROUND, GROUND_GROUND] = gg
-    mat[..., N_EXCITED, N_EXCITED] = p_n
-    mat[..., M_EXCITED, M_EXCITED] = p_m
-    mat[..., N_EXCITED, M_EXCITED] = c
-    mat[..., M_EXCITED, N_EXCITED] = np.conj(c)
-    return ReducedPairState(m=m, n=n, matrix=mat, source_trace=tr)
+    return ReducedPairState(m=m, n=n, source_trace=tr, pop_m=p_m, pop_n=p_n,
+                            coherence=c)
 
 
 def _pair_state(rho4):

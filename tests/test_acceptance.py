@@ -108,8 +108,9 @@ def test_criterion_4_dual_route_equivalence(traj_x1_n6):
     rng = np.random.default_rng(2024)
     max_db = max_dc = 0.0
     for _ in range(10_000):
-        mat, _, _, _, tr = random_pair_state(rng)
-        r = ReducedPairState(m=1, n=2, matrix=mat, source_trace=tr)
+        mat, p_m, p_n, c, tr = random_pair_state(rng)
+        r = ReducedPairState(m=1, n=2, source_trace=tr, pop_m=p_m, pop_n=p_n,
+                             coherence=c)
         meas = closed_form_measures(r)
         max_db = max(max_db, abs(meas.B - nonlocality_B(mat)))
         max_dc = max(max_dc, abs(meas.C - wootters_concurrence(mat)))

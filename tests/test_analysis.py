@@ -111,6 +111,11 @@ class TestFretReport:
         rep = fret_interference_report(3, basis)
         assert rep.non_paper_site
 
+    @pytest.mark.parametrize("x", range(1, 8))
+    def test_populations_are_floats(self, basis, x):
+        rep = fret_interference_report(x, basis)
+        assert isinstance(rep.pop_m, float) and isinstance(rep.pop_n, float)
+
     @pytest.mark.parametrize("x", range(1, 7))
     def test_exciton_off_the_pair_scores_zero(self, x):
         # Site 7 uncoupled: its exciton has no weight on the pair (m, n), and

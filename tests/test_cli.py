@@ -1,11 +1,16 @@
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmoheom
 from fmoheom.cli import main, write_csv
 from fmoheom.config import (_KEYS, ConfigError, build_run_config, load_run_config,
                             parse_config_text)
@@ -73,6 +78,26 @@ class TestConfig:
         assert cfg.initial_site == 6
         assert cfg.params.truncation_N == 3
         assert cfg.pair_list() == [(1, 2), (5, 6)]
+
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("initial.site = 6\n", encoding="utf-8-sig")
+        assert load_run_config(cfg_file).initial_site == 6
+
+    def test_file_is_utf8_whatever_the_locale(self, tmp_path):
+        # The C locale without UTF-8 mode makes the locale's encoding ASCII.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# λ = 100 cm⁻¹\nsystem.lambda_cm = 100\n",
+                            encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(fmoheom.__file__).resolve().parents[1])}
+        code = ("import sys; from fmoheom.config import load_run_config; "
+                "print(load_run_config(sys.argv[1]).params.lambda_cm)")
+        result = subprocess.run([sys.executable, "-c", code, str(cfg_file)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "100.0"
 
     def test_unknown_key_rejected_with_path(self):
         with pytest.raises(ConfigError, match="system.lamda_cm"):

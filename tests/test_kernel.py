@@ -290,6 +290,18 @@ def test_missing_compiler_names_the_command(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unusable_cache_directory_names_it(tmp_path):
+    # A cache directory under a regular file cannot be made: the import
+    # fails with an ImportError that names the directory, not a compiler.
+    (tmp_path / "file").write_text("")
+    directory = tmp_path / "file" / "sub"
+    with pytest.raises(ImportError) as info:
+        kernel.build(directory)
+    message = str(info.value)
+    assert str(directory) in message and "XDG_CACHE_HOME" in message
+    assert "compiler" not in message
+
+
 def test_bind_checks_the_arrays():
     # Im X = H^T of the model is symmetric, so a transposed h would go
     # unseen by every RHS test; bind refuses it. Each array is refused

@@ -77,6 +77,25 @@ class TestReducePair:
         np.testing.assert_allclose(a.matrix, b.matrix)
         assert (a.m, a.n) == (b.m, b.n) == (1, 2)
 
+    def test_one_state_gives_scalars(self, basis):
+        r = reduce_pair(fret_state(1, basis), 1, 2)
+        for value in (r.pop_m, r.pop_n, r.source_trace):
+            assert isinstance(value, float) and np.ndim(value) == 0
+        assert isinstance(r.coherence, complex) and np.ndim(r.coherence) == 0
+
+    def test_matrix_matches_the_reference_layout(self):
+        # Pair (2, 5) of a 7x7 state with the rest of its trace on site 7.
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            _, p_m, p_n, c, tr = random_pair_state(rng)
+            rho = np.zeros((7, 7), dtype=complex)
+            rho[1, 1], rho[4, 4], rho[6, 6] = p_m, p_n, tr - p_m - p_n
+            rho[1, 4], rho[4, 1] = c, np.conj(c)
+            r = reduce_pair(rho, 2, 5)
+            mat = pair_state(r.source_trace, p_m, p_n, c)
+            assert r.matrix.dtype == mat.dtype
+            assert r.matrix.tobytes() == mat.tobytes()
+
 
 class TestHorodecki:
     def test_bell_state(self):
@@ -123,16 +142,17 @@ class TestHorodecki:
 
 class TestClosedForm:
     def test_no_coherence(self):
-        mat = np.diag([0, 0, 1, 0]).astype(complex)
         from fmoheom.measures import ReducedPairState
-        r = ReducedPairState(m=1, n=2, matrix=mat, source_trace=1.0)
+        r = ReducedPairState(m=1, n=2, source_trace=1.0, pop_m=1.0, pop_n=0.0,
+                             coherence=0j)
         meas = closed_form_measures(r)
         assert meas.B == 0.0 and meas.C == 0.0
         assert meas.mu3 == pytest.approx(1.0)
 
     def test_bell_closed_form(self):
         from fmoheom.measures import ReducedPairState
-        r = ReducedPairState(m=1, n=2, matrix=bell_state(), source_trace=1.0)
+        r = ReducedPairState(m=1, n=2, source_trace=1.0, pop_m=0.5, pop_n=0.5,
+                             coherence=0.5 + 0j)
         meas = closed_form_measures(r)
         assert meas.mu1 == pytest.approx(1.0)
         assert meas.mu3 == pytest.approx(1.0)
@@ -152,7 +172,8 @@ class TestClosedForm:
         from fmoheom.measures import ReducedPairState
         for _ in range(500):
             mat, p_m, p_n, c, tr = random_pair_state(rng)
-            r = ReducedPairState(m=1, n=2, matrix=mat, source_trace=tr)
+            r = ReducedPairState(m=1, n=2, source_trace=tr, pop_m=p_m, pop_n=p_n,
+                                 coherence=c)
             meas = closed_form_measures(r)
             assert abs(meas.B - nonlocality_B(mat)) < 1e-10
             assert abs(meas.C - wootters_concurrence(mat)) < 1e-10
@@ -178,7 +199,8 @@ class TestClosedForm:
         c = saturation * np.sqrt(p_m * p_n) * np.exp(1j * phase)
         mat = pair_state(tr, p_m, p_n, c)
         meas = closed_form_measures(
-            ReducedPairState(m=1, n=2, matrix=mat, source_trace=tr))
+            ReducedPairState(m=1, n=2, source_trace=tr, pop_m=p_m, pop_n=p_n,
+                             coherence=c))
         assert abs(meas.B - nonlocality_B(mat)) < 1e-10
         assert abs(meas.C - wootters_concurrence(mat)) < 1e-10
 
@@ -198,14 +220,15 @@ class TestWootters:
 class TestPositivityBound:
     def test_bell_saturates(self):
         from fmoheom.measures import ReducedPairState
-        r = ReducedPairState(m=1, n=2, matrix=bell_state(), source_trace=1.0)
+        r = ReducedPairState(m=1, n=2, source_trace=1.0, pop_m=0.5, pop_n=0.5,
+                             coherence=0.5 + 0j)
         assert positivity_bound_check(r)
         assert abs(abs(r.coherence) - np.sqrt(r.pop_m * r.pop_n)) < 1e-12
 
     def test_zero_coherence(self):
         from fmoheom.measures import ReducedPairState
-        r = ReducedPairState(m=1, n=2, matrix=np.diag([0.5, 0.3, 0.2, 0])
-                             .astype(complex), source_trace=1.0)
+        r = ReducedPairState(m=1, n=2, source_trace=1.0, pop_m=0.2, pop_n=0.3,
+                             coherence=0j)
         assert positivity_bound_check(r)
 
     def test_elementwise_over_a_trajectory(self, traj_x1_n6):
@@ -224,7 +247,8 @@ class TestPositivityBound:
                 continue
             found += 1
             assert horodecki_M(mat) <= 1.0 + 1e-12
-            r = ReducedPairState(m=1, n=2, matrix=mat, source_trace=tr)
+            r = ReducedPairState(m=1, n=2, source_trace=tr, pop_m=p_m, pop_n=p_n,
+                                 coherence=c)
             assert closed_form_measures(r).B == 0.0
 
 
