@@ -1,7 +1,7 @@
 /* Compiled passes of the HEOM integrator in fmoheom/heom.py, the one
  * statement of how each is evaluated. Each function takes the node count
- * first. Every array is C-contiguous and checked by the caller; nothing is
- * allocated here.
+ * first. Every array is C-contiguous and checked or made by the caller;
+ * nothing is allocated here.
  *
  * heom_rhs evaluates the right-hand side of the real hierarchy state Q
  * (count nodes of 7 x 7 doubles, row-major) in one pass over the nodes.
@@ -25,6 +25,10 @@
  * error estimate and writes y_new and f(y_new), whether or not the caller
  * then accepts the step; the comment above it gives the reads, the writes
  * and the norm.
+ *
+ * hierarchy_tables is not an integrator pass: it writes the three tables
+ * that heom_rhs reads, for any site count, in one pass over the nodes
+ * (fmoheom/hierarchy.py; the comment above it gives the ranks).
  */
 #include <math.h>
 #include <stdint.h>
@@ -33,6 +37,9 @@
 #define N 7    /* sites: a node is N x N */
 #define NN (N * N)
 #define STEPS 7  /* w_1..w_7 of a Dormand-Prince step, s[1..7] of heom_step */
+
+/* The site count that heom_rhs reads, for fmoheom/kernel.py. */
+const long heom_sites = N;
 
 typedef double v8 __attribute__((vector_size(64)));
 
@@ -164,4 +171,65 @@ double heom_step(long count, const double *weights, double atol, double rtol,
             total += sum[i * N + j] + sum[j * N + i];
     }
     return sqrt(total / (double)(count * NN));
+}
+
+/* The multi-indices n of sum <= depth over K = sites sites in graded
+ * lexicographic order, into the count = C(depth + K, K) rows of n, with
+ * their neighbours' ranks into down and up (-1 for none); binom, K x
+ * (depth + 1), is workspace. Row c of n follows row c - 1: one unit of the
+ * last nonzero n_p moves to n_{p-1} and the rest of it to n_K, or, after
+ * (d, 0, ..., 0), depth d + 1 starts at (0, ..., 0, d + 1). With the
+ * suffix sums s_j = n_j + ... + n_K (1-based), rank(n) = C(s_1 + K, K) - 1
+ * - sum_{j=2..K} C(s_j + K - j, K - j + 1) (Knuth, TAOCP 4A, 7.2.1.3), so
+ * a node of rank c has the neighbour ranks
+ *   rank(n - e_k) = c - C(s_1 + K - 1, K - 1)
+ *                   + sum_{j=2..k} C(s_j + K - j - 1, K - j)   if n_k > 0,
+ *   rank(n + e_k) = c + C(s_1 + K, K - 1)
+ *                   - sum_{j=2..k} C(s_j + K - j, K - j)       if s_1 < depth.
+ * Each binomial is C(t + m, m) with m < K and t <= depth, row m, column t
+ * of binom, and at most C(depth + K - 1, K - 1) <= count. */
+void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
+                      int64_t *n, int64_t *down, int64_t *up)
+{
+    long w = depth + 1;
+    if (sites == 0) /* one node, empty rows */
+        return;
+    for (long m = 0; m < sites; m++)
+        for (long t = 0; t < w; t++)
+            binom[m * w + t] = m && t ? binom[(m - 1) * w + t] + binom[m * w + t - 1] : 1;
+    const int64_t *first = binom + (sites - 1) * w; /* C(t + K - 1, K - 1) */
+    int64_t d = 0;
+    memset(n, 0, sites * sizeof *n);
+    for (long c = 0; c < count; c++) {
+        int64_t *nc = n + c * sites, *dc = down + c * sites, *uc = up + c * sites;
+        if (c > 0) {
+            memcpy(nc, nc - sites, sites * sizeof *nc);
+            long p = sites - 1;
+            while (p >= 0 && nc[p] == 0)
+                p--;
+            if (p > 0) {
+                int64_t v = nc[p];
+                nc[p] = 0;
+                nc[p - 1]++;
+                nc[sites - 1] = v - 1;
+            } else { /* the root or (d, 0, ..., 0) */
+                if (p == 0)
+                    nc[0] = 0;
+                nc[sites - 1] = ++d;
+            }
+        }
+        /* s is s_{k+1}; the sums run over j = 2..k+1 */
+        int64_t s = d, sum_down = 0, sum_up = 0;
+        for (long k = 0; k < sites; k++) {
+            if (k > 0) {
+                const int64_t *row = binom + (sites - 1 - k) * w;
+                sum_up += row[s];
+                if (s > 0) /* else no down neighbour from here on */
+                    sum_down += row[s - 1];
+            }
+            dc[k] = nc[k] > 0 ? c - first[d] + sum_down : -1;
+            uc[k] = d < depth ? c + first[d + 1] - sum_up : -1;
+            s -= nc[k];
+        }
+    }
 }

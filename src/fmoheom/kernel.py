@@ -14,6 +14,12 @@ build is written to a temporary file and moved into place, so concurrent
 first imports each see either no library or a complete one. ImportError
 names the command when the compiler is missing or fails, and the directory
 when the cache cannot be created or written.
+
+`load` declares the argument and result types of the library's three
+functions: heom_rhs and heom_step, the integrator's passes (`bind` checks
+the arrays that heom_rhs follows), and hierarchy_tables, the builder of
+`fmoheom.hierarchy`. N_SITES, the site count heom_rhs is compiled for, is
+read from the library.
 """
 
 import ctypes
@@ -25,8 +31,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-from .model import N_SITES
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "cc"
@@ -57,7 +61,7 @@ def bind(count, h, r, n, down, up, a, b, gamma):
     ptrs += [check(name, table, np.int64, (count, N_SITES))
              for name, table in (("n", n), ("down", down), ("up", up))]
     for name, ranks in (("down", down), ("up", up)):
-        if np.any((ranks < -1) | (ranks >= count)):
+        if ranks.min(initial=-1) < -1 or ranks.max(initial=-1) >= count:
             raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
     return (count, *ptrs, a, b, gamma)
 
@@ -124,7 +128,11 @@ def load():
     lib.heom_rhs.restype = None
     lib.heom_step.argtypes = [long_, ptr, double, double, ctypes.POINTER(ptr)]
     lib.heom_step.restype = double
+    lib.hierarchy_tables.argtypes = [long_, long_, long_, ptr, ptr, ptr, ptr]
+    lib.hierarchy_tables.restype = None
     return lib
 
 
 LIB = load()
+# The site count the compiled heom_rhs reads, which bind checks against.
+N_SITES = ctypes.c_long.in_dll(LIB, "heom_sites").value

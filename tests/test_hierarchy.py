@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 
 from fmoheom.hierarchy import (
+    MAX_NODES,
     NO_NEIGHBOR,
     enumerate_hierarchy,
     hierarchy_count,
 )
+
+
+def graded_lex(n_sites, depth):
+    """Every multi-index of sum <= depth, sorted by depth, then lexicographically."""
+    def within(sites, room):
+        if sites == 0:
+            yield ()
+            return
+        for v in range(room + 1):
+            for rest in within(sites - 1, room - v):
+                yield (v, *rest)
+
+    return sorted(within(n_sites, depth), key=lambda n: (sum(n), n))
 
 
 class TestCounting:
@@ -16,6 +30,20 @@ class TestCounting:
 
     def test_single_site(self):
         assert enumerate_hierarchy(1, 3).count == 4
+
+    def test_no_sites(self):
+        space = enumerate_hierarchy(0, 3)
+        assert space.count == 1
+        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+            assert table.shape == (1, 0)
+
+    def test_node_limit_on_one_site(self):
+        # The deepest hierarchy the limit admits: a chain of 5 000 000 nodes.
+        space = enumerate_hierarchy(1, MAX_NODES - 1)
+        assert space.count == MAX_NODES
+        assert space.indices[-1].tolist() == [MAX_NODES - 1]
+        assert space.neighbors_minus[-1].tolist() == [MAX_NODES - 2]
+        assert space.neighbors_plus[-1].tolist() == [NO_NEIGHBOR]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
@@ -57,11 +85,6 @@ class TestCounting:
         with pytest.raises(ValueError, match="node"):
             enumerate_hierarchy(7, 40)
 
-    def test_key_overflow_rejected(self):
-        # 64 nodes, but the base-2 keys of 63 sites do not fit in int64.
-        with pytest.raises(ValueError, match="overflow"):
-            enumerate_hierarchy(63, 1)
-
 
 class TestOrdering:
     def test_graded_lex(self):
@@ -87,12 +110,19 @@ class TestAdjacency:
         has_minus = space.neighbors_minus != NO_NEIGHBOR
         np.testing.assert_array_equal(has_minus, space.indices > 0)
 
-    @pytest.mark.parametrize("n_sites,depth", [(7, 3), (3, 6), (1, 4)])
+    @pytest.mark.parametrize("n_sites,depth", [(7, 3), (3, 6), (1, 4), (63, 1),
+                                               (7, 12)])
     def test_tables_match_brute_force(self, n_sites, depth):
+        # Every row, or a seeded sample of 2 000 rows of the larger tables.
         space = enumerate_hierarchy(n_sites, depth)
-        rank = {tuple(int(v) for v in row): i
-                for i, row in enumerate(space.indices)}
-        for i, row in enumerate(space.indices):
+        nodes = graded_lex(n_sites, depth)
+        assert space.indices.tolist() == [list(n) for n in nodes]
+        rank = {n: i for i, n in enumerate(nodes)}
+        rows = range(space.count)
+        if space.count > 2000:
+            rows = np.random.default_rng(12).choice(space.count, 2000, replace=False)
+        for i in rows:
+            row = nodes[i]
             for k in range(n_sites):
                 down = list(row)
                 down[k] -= 1

@@ -114,7 +114,8 @@ def test_load_declares_every_exported_function():
     results = {"void": None, "double": ctypes.c_double}
     exported = re.findall(r"^(?!static)(\w+) (\w+)\(([^)]*)\)\s*\{", source,
                           re.MULTILINE)
-    assert sorted(name for _, name, _ in exported) == ["heom_rhs", "heom_step"]
+    assert sorted(name for _, name, _ in exported) == ["heom_rhs", "heom_step",
+                                                        "hierarchy_tables"]
     for result, name, params in exported:
         function = getattr(kernel.LIB, name)
         assert function.restype is results[result], name
@@ -123,9 +124,10 @@ def test_load_declares_every_exported_function():
 
 
 def test_source_has_the_model_site_count():
-    # bind checks every array against N_SITES; the kernel reads N.
+    # bind checks every array against the N that the library exports.
     defines = re.findall(r"^#define N (\d+)", kernel.SOURCE.read_text(), re.MULTILINE)
     assert defines == [str(N_SITES)]
+    assert kernel.N_SITES == N_SITES
 
 
 def _rational(rows):
@@ -201,9 +203,11 @@ def test_polynomial_step_reproduces_the_stage_form():
 def test_source_compiles_without_warnings():
     # -Wextra flags a parameter left unused by a signature change. -Wpsabi
     # only notes that 8-double vectors pass differently without AVX-512,
-    # which no static helper's caller outside this file can see.
+    # which no static helper's caller outside this file can see. -Wvla
+    # refuses a stack array sized by an argument: hierarchy_tables runs to
+    # millions of nodes, and its workspace comes from the caller.
     result = subprocess.run([kernel.COMPILER, "-fsyntax-only", "-Wall", "-Wextra",
-                             "-Werror", "-Wno-psabi", str(kernel.SOURCE)],
+                             "-Wvla", "-Werror", "-Wno-psabi", str(kernel.SOURCE)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
