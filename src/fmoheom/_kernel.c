@@ -26,8 +26,8 @@
  * then accepts the step; the comment above it gives the reads, the writes
  * and the norm.
  *
- * hierarchy_tables is not an integrator pass: it writes the three tables
- * that heom_rhs reads, for any site count, in one pass over the nodes
+ * hierarchy_tables is not an integrator pass: it writes the three int32
+ * tables that heom_rhs reads, for any site count, in one pass over the nodes
  * (fmoheom/hierarchy.py; the comment above it gives the ranks).
  */
 #include <math.h>
@@ -65,10 +65,10 @@ static inline void couple(const double *qn, int k, double dr, double di, v8 *pr,
 }
 
 /* h is Im X = H^T and r the trap rate of each site, so that X = i h - diag(r);
- * n, down and up are count x N: each node's multi-index and its neighbours'
- * ranks along each site, -1 for none. */
-void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
-              const int64_t *down, const int64_t *up, double a, double b,
+ * n, down and up are count x N int32: each node's multi-index and its
+ * neighbours' ranks along each site, -1 for none. */
+void heom_rhs(long count, const double *h, const double *r, const int32_t *n,
+              const int32_t *down, const int32_t *up, double a, double b,
               double gamma, const double *q, double *out)
 {
     v8 hl[N], r8 = row(r);
@@ -76,7 +76,7 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
         hl[l] = row(h + l * N);
     for (long c = 0; c < count; c++) {
         const double *qc = q + c * NN;
-        const int64_t *nc = n + c * N, *dc = down + c * N, *uc = up + c * N;
+        const int32_t *nc = n + c * N, *dc = down + c * N, *uc = up + c * N;
         double depth = 0.0;
         for (int k = 0; k < N; k++)
             depth += (double)nc[k];
@@ -94,13 +94,17 @@ void heom_rhs(long count, const double *h, const double *r, const int64_t *n,
             pr[j] = sr - row(qc + j * N) * rate;
             pi[j] = si + col(qc + j) * rate;
         }
-        /* P' += the off-diagonal part of R' Y: down and up neighbours */
+        /* P' += the off-diagonal part of R' Y: down and up neighbours.
+         * Unrolled, every table and row offset is a constant: int32 ranks
+         * would otherwise take an index register of their own, and a
+         * spill, for about 2 % more time per node. */
+#pragma GCC unroll 7
         for (int k = 0; k < N; k++) {
             if (dc[k] >= 0)
-                couple(q + dc[k] * NN, k, (double)nc[k] * b, (double)nc[k] * a,
-                       &pr[k], &pi[k]);
+                couple(q + (long)dc[k] * NN, k, (double)nc[k] * b,
+                       (double)nc[k] * a, &pr[k], &pi[k]);
             if (uc[k] >= 0)
-                couple(q + uc[k] * NN, k, 0.0, 1.0, &pr[k], &pi[k]);
+                couple(q + (long)uc[k] * NN, k, 0.0, 1.0, &pr[k], &pi[k]);
         }
         /* dQ = Re P' - (Im P')^T, entry by entry: a vector store of the
          * 7-double rows would go through the stack. */
@@ -176,7 +180,9 @@ double heom_step(long count, const double *weights, double atol, double rtol,
 /* The multi-indices n of sum <= depth over K = sites sites in graded
  * lexicographic order, into the count = C(depth + K, K) rows of n, with
  * their neighbours' ranks into down and up (-1 for none); binom, K x
- * (depth + 1), is workspace. Row c of n follows row c - 1: one unit of the
+ * (depth + 1) int64, is workspace. The three tables are int32: the caller
+ * bounds count, so every rank and entry fits, and the ranks are formed in
+ * int64 and cast on store. Row c of n follows row c - 1: one unit of the
  * last nonzero n_p moves to n_{p-1} and the rest of it to n_K, or, after
  * (d, 0, ..., 0), depth d + 1 starts at (0, ..., 0, d + 1). With the
  * suffix sums s_j = n_j + ... + n_K (1-based), rank(n) = C(s_1 + K, K) - 1
@@ -189,7 +195,7 @@ double heom_step(long count, const double *weights, double atol, double rtol,
  * Each binomial is C(t + m, m) with m < K and t <= depth, row m, column t
  * of binom, and at most C(depth + K - 1, K - 1) <= count. */
 void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
-                      int64_t *n, int64_t *down, int64_t *up)
+                      int32_t *n, int32_t *down, int32_t *up)
 {
     long w = depth + 1;
     if (sites == 0) /* one node, empty rows */
@@ -201,7 +207,7 @@ void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
     int64_t d = 0;
     memset(n, 0, sites * sizeof *n);
     for (long c = 0; c < count; c++) {
-        int64_t *nc = n + c * sites, *dc = down + c * sites, *uc = up + c * sites;
+        int32_t *nc = n + c * sites, *dc = down + c * sites, *uc = up + c * sites;
         if (c > 0) {
             memcpy(nc, nc - sites, sites * sizeof *nc);
             long p = sites - 1;
@@ -211,11 +217,11 @@ void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
                 int64_t v = nc[p];
                 nc[p] = 0;
                 nc[p - 1]++;
-                nc[sites - 1] = v - 1;
+                nc[sites - 1] = (int32_t)(v - 1);
             } else { /* the root or (d, 0, ..., 0) */
                 if (p == 0)
                     nc[0] = 0;
-                nc[sites - 1] = ++d;
+                nc[sites - 1] = (int32_t)++d;
             }
         }
         /* s is s_{k+1}; the sums run over j = 2..k+1 */
@@ -227,8 +233,8 @@ void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
                 if (s > 0) /* else no down neighbour from here on */
                     sum_down += row[s - 1];
             }
-            dc[k] = nc[k] > 0 ? c - first[d] + sum_down : -1;
-            uc[k] = d < depth ? c + first[d + 1] - sum_up : -1;
+            dc[k] = (int32_t)(nc[k] > 0 ? c - first[d] + sum_down : -1);
+            uc[k] = (int32_t)(d < depth ? c + first[d + 1] - sum_up : -1);
             s -= nc[k];
         }
     }

@@ -132,22 +132,28 @@ class SuddenDeathReport:
 def detect_sudden_death(series, threshold=1e-6):
     """Locate the last permanent downward crossing of B through `threshold`.
 
+    B = sqrt(max(M - 1, 0)) falls to zero like a square root, so the
+    crossing is found on M - 1 = max(2 mu1, mu1 + mu3) - 1, which crosses
+    zero with a nonzero slope, against threshold^2, by linear interpolation
+    between the last sample above it and the next. peak_B and peak_time_fs
+    are grid samples.
+
     Returns death_time_fs = None when B never exceeds the threshold, or when
     it is still above it at the end of the grid (no permanent drop observed).
     """
     check_finite("threshold", threshold, "nonnegative")
     t = series.times_fs
-    b = series.B
     if t.size == 0:
         raise ValueError("empty time series")
-    i_peak = int(np.argmax(b))
-    peak_b = float(b[i_peak])
-    above = b > threshold
-    report = dict(peak_B=peak_b, peak_time_fs=float(t[i_peak]))
+    i_peak = int(np.argmax(series.B))
+    report = dict(peak_B=float(series.B[i_peak]), peak_time_fs=float(t[i_peak]))
+    excess = (np.maximum(2.0 * series.mu1, series.mu1 + series.mu3) - 1.0
+              - threshold ** 2)
+    above = excess > 0.0
     if not above.any() or above[-1]:
         return SuddenDeathReport(death_time_fs=None, **report)
-    i = int(np.where(above)[0][-1])
-    frac = (b[i] - threshold) / (b[i] - b[i + 1])
+    i = int(np.flatnonzero(above)[-1])
+    frac = excess[i] / (excess[i] - excess[i + 1])
     death = float(t[i] + frac * (t[i + 1] - t[i]))
     return SuddenDeathReport(death_time_fs=death, **report)
 

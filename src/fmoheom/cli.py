@@ -16,17 +16,22 @@ from . import analysis, heom, measures, model
 from .config import load_run_config
 
 FLOAT_FMT = "%.11e"
+# Rows formatted by one % operation: bounds the string built at a time.
+BLOCK_ROWS = 4096
 
 
 def write_csv(path, header, rows):
     """Write `rows` (sequences or a 2-D array) under `header`: a column whose first
     value is an integer as %d, any other as FLOAT_FMT, None and "nan" as nan."""
-    table = np.array(list(rows), dtype=object).reshape(-1, len(header))
-    ints = [isinstance(v, (int, np.integer)) for v in table[0]] if len(table) else []
+    rows = rows if isinstance(rows, np.ndarray) else list(rows)
+    ints = [isinstance(v, (int, np.integer)) for v in rows[0]] if len(rows) else []
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join("%d" if i else FLOAT_FMT for i in ints) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in table.astype(float).tolist())
+        for start in range(0, len(table), BLOCK_ROWS):
+            block = table[start:start + BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _initial_state(cfg):
@@ -59,7 +64,7 @@ def cmd_simulate(cfg, outdir, args):
         write_csv(
             outdir / f"measures_{m}_{nn}.csv",
             ["t_fs", "B", "C", "l1", "mu1", "mu3"],
-            zip(s.times_fs, s.B, s.C, s.l1, s.mu1, s.mu3),
+            np.column_stack([s.times_fs, s.B, s.C, s.l1, s.mu1, s.mu3]),
         )
     _write_manifest(outdir, cfg, {"hierarchy_count": traj.hierarchy_count})
     return 0

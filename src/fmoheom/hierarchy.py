@@ -8,7 +8,8 @@ Ranks in this order have a closed form in the suffix sums s_j = n_j + ...
 + n_K (the combinatorial number system), and so do the neighbours' ranks
 as offsets from the rank of n; `hierarchy_tables` in `_kernel.c` steps
 through the nodes in order and writes every row of the three tables from
-them in one pass.
+them in one pass. The tables are int32, which `MAX_NODES` makes room for,
+so a build writes and each RHS call reads half the bytes of int64.
 """
 
 import numbers
@@ -20,6 +21,8 @@ import numpy as np
 from . import kernel
 
 # Refuse to enumerate hierarchies that would not fit in memory anyway.
+# Every rank, index entry and depth is below this, so it must fit int32,
+# the dtype of the three tables.
 MAX_NODES = 5_000_000
 
 # Sentinel rank for a missing neighbour: n_k = 0 down, depth_max up.
@@ -62,7 +65,7 @@ def enumerate_hierarchy(n_sites, depth_max):
         raise ValueError(
             f"hierarchy with {count} nodes exceeds the {MAX_NODES} node limit"
         )
-    indices, minus, plus = (np.empty((count, n_sites), dtype=np.int64)
+    indices, minus, plus = (np.empty((count, n_sites), dtype=np.int32)
                             for _ in range(3))
     binom = np.empty((n_sites, depth_max + 1), dtype=np.int64)
     kernel.LIB.hierarchy_tables(count, n_sites, depth_max, binom.ctypes.data,

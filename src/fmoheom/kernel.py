@@ -26,8 +26,6 @@ import ctypes
 import hashlib
 import os
 import platform
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +50,13 @@ def check(name, array, dtype, shape):
 def bind(count, h, r, n, down, up, a, b, gamma):
     """The constant leading arguments of `heom_rhs`: count, the addresses of
     h = Im X (N_SITES x N_SITES float64) and of the trap rates r (N_SITES
-    float64), so that X = i h - diag(r), and of the int64 count x N_SITES
+    float64), so that X = i h - diag(r), and of the int32 count x N_SITES
     tables n, down and up (neighbour ranks, -1 for none), then the bath
     coefficients a, b and gamma of `fmoheom.heom`. The caller keeps the arrays
     alive."""
     ptrs = [check("h", h, np.float64, (N_SITES, N_SITES)),
             check("r", r, np.float64, (N_SITES,))]
-    ptrs += [check(name, table, np.int64, (count, N_SITES))
+    ptrs += [check(name, table, np.int32, (count, N_SITES))
              for name, table in (("n", n), ("down", down), ("up", up))]
     for name, ranks in (("down", down), ("up", up)):
         if ranks.min(initial=-1) < -1 or ranks.max(initial=-1) >= count:
@@ -98,6 +96,9 @@ def build(directory=None):
     library = directory / f"_kernel-{key.hexdigest()[:16]}.so"
     if library.exists():
         return library
+    # Only a compile needs these; a warm cache spares every process the import.
+    import subprocess
+    import tempfile
     try:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".build-", suffix=".so")

@@ -20,10 +20,12 @@ def params():
 
 
 def _series(t, b, c=None):
-    z = np.zeros_like(t)
-    c = z if c is None else c
+    # mu1 = mu3 = (1 + B^2) / 2 makes M - 1 = max(2 mu1, mu1 + mu3) - 1 = B^2,
+    # as in a state with that B.
+    c = np.zeros_like(t) if c is None else c
+    mu = (1.0 + b ** 2) / 2.0
     return CorrelationTimeSeries(m=1, n=2, times_fs=t, B=b, C=c, l1=c,
-                                 mu1=z, mu3=z)
+                                 mu1=mu, mu3=mu)
 
 
 @pytest.mark.parametrize("x", [0, 8])
@@ -148,6 +150,27 @@ class TestSuddenDeathDetection:
         assert rep.death_time_fs == pytest.approx(100.0, abs=0.1)
         assert rep.peak_B == 1.0
         assert rep.peak_time_fs == 0.0
+
+    def test_root_of_a_linear_m_minus_1(self):
+        # M - 1 = 1 - t/100 crosses threshold^2 = 0.01 at t = 99 fs, between
+        # the samples 98.7 and 99.4 fs: interpolating M - 1 finds the root
+        # to rounding, where interpolating B = sqrt(M - 1) is 0.03 fs early.
+        t = np.arange(0.0, 200.0, 0.7)
+        b = np.sqrt(np.maximum(1.0 - t / 100.0, 0.0))
+        rep = detect_sudden_death(_series(t, b), threshold=0.1)
+        assert rep.death_time_fs == pytest.approx(99.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x,pair", [(1, (1, 2)), (6, (5, 6))])
+    def test_death_time_does_not_depend_on_the_output_grid(self, x, pair):
+        # The step sequence is the same on both grids. Interpolating B would
+        # put the death at the first sample with B = 0: 42.99996 fs on the
+        # 1 fs grid against 42.09999 fs on the 0.1 fs grid for x = 6.
+        deaths = []
+        for dt in (1.0, 0.1):
+            p = SystemParams(truncation_N=6, t_end_fs=120.0, dt_out_fs=dt)
+            traj = HEOMPropagator(p).run(localized_state(x))
+            deaths.append(detect_sudden_death(pair_series(traj, *pair)).death_time_fs)
+        assert abs(deaths[0] - deaths[1]) < 1e-2
 
     def test_alive_at_end(self):
         t = np.arange(0.0, 50.0, 1.0)

@@ -531,3 +531,19 @@ class TestWriteCsv:
         assert (tmp_path / "array.csv").read_bytes() == (
             b"t,x\n0.00000000000e+00,1.25000000000e+00\n"
             b"1.00000000000e+00,-2.00000000000e-300\n")
+
+    @pytest.mark.parametrize("count", [0, 1, 5000])
+    def test_blocks_write_the_bytes_of_one_row_at_a_time(self, tmp_path, count):
+        # Rows past a block boundary, one row and none: the same bytes as
+        # formatting each row on its own.
+        kinds = [lambda i: i, lambda i: i * 0.37 - 1e5, lambda i: None,
+                 lambda i: "nan", lambda i: np.float64(i) / 3.0]
+        rows = [tuple(kinds[(i + j) % 5](i) if j else i for j in range(5))
+                for i in range(count)]
+        write_csv(tmp_path / "blocks.csv", list("abcde"), rows)
+        line = "%d," + ",".join(["%.11e"] * 4) + "\n"
+        expected = "a,b,c,d,e\n" + "".join(
+            line % tuple(float("nan") if v is None or isinstance(v, str) else v
+                         for v in row)
+            for row in rows)
+        assert (tmp_path / "blocks.csv").read_bytes() == expected.encode()

@@ -151,3 +151,16 @@ class TestAdjacency:
         for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 10**9
+
+    @pytest.mark.parametrize("n_sites,depth", [(7, n) for n in range(13)]
+                             + [(1, 4), (0, 3)])
+    def test_tables_are_int32(self, n_sites, depth):
+        space = enumerate_hierarchy(n_sites, depth)
+        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+            assert table.dtype == np.int32 and table.flags.c_contiguous
+            assert not table.flags.writeable
+
+    def test_node_limit_fits_int32(self):
+        # Every rank is below MAX_NODES and every entry of n at most its
+        # depth, which is below MAX_NODES too.
+        assert MAX_NODES < 2**31

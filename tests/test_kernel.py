@@ -231,6 +231,17 @@ def test_cli_import_loads_no_exact_arithmetic():
     assert result.stdout.strip() == "[]"
 
 
+def test_warm_cache_import_loads_no_subprocess():
+    # subprocess is needed only to compile the kernel; importing it costs
+    # every process about 4 ms and 0.5 MB. tempfile is not checked: site
+    # can import it.
+    code = "import sys, fmoheom.cli; print('subprocess' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("relative", [False, True])
 def test_cache_dir_ignores_a_relative_xdg_cache_home(tmp_path, monkeypatch, relative):
     # The XDG Base Directory spec: a relative path is invalid and ignored,
@@ -311,9 +322,9 @@ def test_bind_checks_the_arrays():
     # unseen by every RHS test; bind refuses it. Each array is refused
     # before any address reaches the kernel.
     h, r = np.zeros((7, 7)), np.zeros(7)
-    n = np.array([[0] * 7, [1] + [0] * 6])
-    down = np.array([[-1] * 7, [0] + [-1] * 6])
-    up = np.array([[1] + [-1] * 6, [-1] * 7])
+    n = np.array([[0] * 7, [1] + [0] * 6], dtype=np.int32)
+    down = np.array([[-1] * 7, [0] + [-1] * 6], dtype=np.int32)
+    up = np.array([[1] + [-1] * 6, [-1] * 7], dtype=np.int32)
     args = kernel.bind(2, h, r, n, down, up, 3.0, 2.0, 0.5)
     assert args[0] == 2 and args[-3:] == (3.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
@@ -327,8 +338,8 @@ def test_bind_checks_the_arrays():
         kernel.bind(2, h, r.astype(np.float32), n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"r must be .* of shape \(7,\)"):
         kernel.bind(2, h, np.zeros((7, 1)), n, down, up, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="down must be a C-contiguous int64"):
-        kernel.bind(2, h, r, n, down.astype(np.int32), up, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="down must be a C-contiguous int32"):
+        kernel.bind(2, h, r, n, down.astype(np.int64), up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"n must be .* of shape \(3, 7\)"):
         kernel.bind(3, h, r, n, down, up, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"up must be .* of shape \(2, 7\)"):
