@@ -26,9 +26,11 @@
  * then accepts the step; the comment above it gives the reads, the writes
  * and the norm.
  *
- * hierarchy_tables is not an integrator pass: it writes the three int32
- * tables that heom_rhs reads, for any site count, in one pass over the nodes
- * (fmoheom/hierarchy.py; the comment above it gives the ranks).
+ * hierarchy_tables is not an integrator pass: it writes the hierarchy t
+ * that heom_rhs reads, for any site count, in one pass over the nodes
+ * (fmoheom/hierarchy.py; the comment above it gives the ranks): one int32
+ * block of three count x K planes, n, down and up, each node's multi-index
+ * and its neighbours' ranks along each site, -1 for none.
  */
 #include <math.h>
 #include <stdint.h>
@@ -65,12 +67,11 @@ static inline void couple(const double *qn, int k, double dr, double di, v8 *pr,
 }
 
 /* h is Im X = H^T and r the trap rate of each site, so that X = i h - diag(r);
- * n, down and up are count x N int32: each node's multi-index and its
- * neighbours' ranks along each site, -1 for none. */
-void heom_rhs(long count, const double *h, const double *r, const int32_t *n,
-              const int32_t *down, const int32_t *up, double a, double b,
-              double gamma, const double *q, double *out)
+ * t is the hierarchy, the planes n, down and up of count x N. */
+void heom_rhs(long count, const double *h, const double *r, const int32_t *t,
+              double a, double b, double gamma, const double *q, double *out)
 {
+    const int32_t *n = t, *down = n + count * N, *up = down + count * N;
     v8 hl[N], r8 = row(r);
     for (int l = 0; l < N; l++)
         hl[l] = row(h + l * N);
@@ -178,12 +179,12 @@ double heom_step(long count, const double *weights, double atol, double rtol,
 }
 
 /* The multi-indices n of sum <= depth over K = sites sites in graded
- * lexicographic order, into the count = C(depth + K, K) rows of n, with
- * their neighbours' ranks into down and up (-1 for none); binom, K x
- * (depth + 1) int64, is workspace. The three tables are int32: the caller
- * bounds count, so every rank and entry fits, and the ranks are formed in
- * int64 and cast on store. Row c of n follows row c - 1: one unit of the
- * last nonzero n_p moves to n_{p-1} and the rest of it to n_K, or, after
+ * lexicographic order, into the count = C(depth + K, K) rows of plane n of
+ * t, with their neighbours' ranks into planes down and up (-1 for none);
+ * binom, K x (depth + 1) int64, is workspace. The caller bounds count, so
+ * every rank and entry fits int32, and the ranks are formed in int64 and
+ * cast on store. Row c of n follows row c - 1: one unit of the last
+ * nonzero n_p moves to n_{p-1} and the rest of it to n_K, or, after
  * (d, 0, ..., 0), depth d + 1 starts at (0, ..., 0, d + 1). With the
  * suffix sums s_j = n_j + ... + n_K (1-based), rank(n) = C(s_1 + K, K) - 1
  * - sum_{j=2..K} C(s_j + K - j, K - j + 1) (Knuth, TAOCP 4A, 7.2.1.3), so
@@ -192,18 +193,19 @@ double heom_step(long count, const double *weights, double atol, double rtol,
  *                   + sum_{j=2..k} C(s_j + K - j - 1, K - j)   if n_k > 0,
  *   rank(n + e_k) = c + C(s_1 + K, K - 1)
  *                   - sum_{j=2..k} C(s_j + K - j, K - j)       if s_1 < depth.
- * Each binomial is C(t + m, m) with m < K and t <= depth, row m, column t
+ * Each binomial is C(i + m, m) with m < K and i <= depth, row m, column i
  * of binom, and at most C(depth + K - 1, K - 1) <= count. */
 void hierarchy_tables(long count, long sites, long depth, int64_t *binom,
-                      int32_t *n, int32_t *down, int32_t *up)
+                      int32_t *t)
 {
+    int32_t *n = t, *down = n + count * sites, *up = down + count * sites;
     long w = depth + 1;
     if (sites == 0) /* one node, empty rows */
         return;
     for (long m = 0; m < sites; m++)
-        for (long t = 0; t < w; t++)
-            binom[m * w + t] = m && t ? binom[(m - 1) * w + t] + binom[m * w + t - 1] : 1;
-    const int64_t *first = binom + (sites - 1) * w; /* C(t + K - 1, K - 1) */
+        for (long i = 0; i < w; i++)
+            binom[m * w + i] = m && i ? binom[(m - 1) * w + i] + binom[m * w + i - 1] : 1;
+    const int64_t *first = binom + (sites - 1) * w; /* C(i + K - 1, K - 1) */
     int64_t d = 0;
     memset(n, 0, sites * sizeof *n);
     for (long c = 0; c < count; c++) {

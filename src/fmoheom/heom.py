@@ -163,8 +163,7 @@ class HEOMPropagator:
         self._h = np.ascontiguousarray((params.hamiltonian_cm * CM_TO_RADFS).T)
         self._r = np.zeros(N_SITES)
         self._r[[s - 1 for s in params.trap_sites]] = params.trap_rate_inv_fs
-        self._args = kernel.bind(self.count, self._h, self._r, space.indices,
-                                 space.neighbors_minus, space.neighbors_plus,
+        self._args = kernel.bind(self.count, self._h, self._r, space.tables,
                                  a, b, gamma)
 
     @property

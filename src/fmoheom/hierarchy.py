@@ -2,14 +2,14 @@
 
 Multi-indices n = (n_1, ..., n_K) with sum(n) <= N are laid out in graded
 lexicographic order (by depth, then lexicographically within a depth) and
-addressed by a flat rank. The hierarchy holds both neighbour tables: the
-rank of n with n_k decremented and the rank of n with n_k incremented.
-Ranks in this order have a closed form in the suffix sums s_j = n_j + ...
-+ n_K (the combinatorial number system), and so do the neighbours' ranks
-as offsets from the rank of n; `hierarchy_tables` in `_kernel.c` steps
-through the nodes in order and writes every row of the three tables from
-them in one pass. The tables are int32, which `MAX_NODES` makes room for,
-so a build writes and each RHS call reads half the bytes of int64.
+addressed by a flat rank. The hierarchy is one int32 block (3, count, K)
+of three planes: n, the down ranks (of n - e_k) and the up ranks (of
+n + e_k). Ranks in this order have a closed form in the suffix sums
+s_j = n_j + ... + n_K (the combinatorial number system), and so do the
+neighbours' ranks as offsets from the rank of n; `hierarchy_tables` in
+`_kernel.c` steps through the nodes in order and writes all three planes
+from them in one pass. int32, which `MAX_NODES` makes room for, halves
+the bytes a build writes and each RHS call reads against int64.
 """
 
 import numbers
@@ -22,7 +22,7 @@ from . import kernel
 
 # Refuse to enumerate hierarchies that would not fit in memory anyway.
 # Every rank, index entry and depth is below this, so it must fit int32,
-# the dtype of the three tables.
+# the dtype of the tables.
 MAX_NODES = 5_000_000
 
 # Sentinel rank for a missing neighbour: n_k = 0 down, depth_max up.
@@ -47,15 +47,14 @@ def hierarchy_count(n_sites, depth_max):
 
 @dataclass(frozen=True)
 class HierarchyIndexSpace:
-    """Flat index space over the hierarchy with its two neighbour tables."""
+    """Flat index space over the hierarchy: `n, down, up = space.tables`, the
+    multi-indices and the ranks of n - e_k and n + e_k (NO_NEIGHBOR for none)."""
 
-    indices: np.ndarray          # (count, n_sites): row i is the multi-index n
-    neighbors_minus: np.ndarray  # (count, n_sites): rank of n - e_k or NO_NEIGHBOR
-    neighbors_plus: np.ndarray   # (count, n_sites): rank of n + e_k or NO_NEIGHBOR
+    tables: np.ndarray  # (3, count, n_sites) int32, read-only
 
     @property
     def count(self):
-        return self.indices.shape[0]
+        return self.tables.shape[1]
 
 
 def enumerate_hierarchy(n_sites, depth_max):
@@ -65,13 +64,9 @@ def enumerate_hierarchy(n_sites, depth_max):
         raise ValueError(
             f"hierarchy with {count} nodes exceeds the {MAX_NODES} node limit"
         )
-    indices, minus, plus = (np.empty((count, n_sites), dtype=np.int32)
-                            for _ in range(3))
+    tables = np.empty((3, count, n_sites), dtype=np.int32)
     binom = np.empty((n_sites, depth_max + 1), dtype=np.int64)
     kernel.LIB.hierarchy_tables(count, n_sites, depth_max, binom.ctypes.data,
-                                indices.ctypes.data, minus.ctypes.data,
-                                plus.ctypes.data)
-    for table in (indices, minus, plus):  # the kernel follows them unchecked
-        table.flags.writeable = False
-    return HierarchyIndexSpace(indices=indices, neighbors_minus=minus,
-                               neighbors_plus=plus)
+                                tables.ctypes.data)
+    tables.flags.writeable = False  # the kernel follows the ranks unchecked
+    return HierarchyIndexSpace(tables)

@@ -6,7 +6,7 @@ module is imported in an environment, and loaded with ctypes:
     cc -O3 -march=native -shared -fPIC -o _kernel-KEY.so _kernel.c
 
 The library is cached in ${XDG_CACHE_HOME:-~/.cache}/fmoheom/, where
-KEY hashes the source, COMPILER, FLAGS and the CPU identity
+KEY hashes the source's bytes, COMPILER, FLAGS and the CPU identity
 (`cpu_identity`): a build for one CPU is never loaded on another, and
 checkouts of one source share a build. A relative XDG_CACHE_HOME is
 ignored, as the XDG Base Directory spec asks. Old builds are never removed. A
@@ -16,10 +16,12 @@ names the command when the compiler is missing or fails, and the directory
 when the cache cannot be created or written.
 
 `load` declares the argument and result types of the library's three
-functions: heom_rhs and heom_step, the integrator's passes (`bind` checks
-the arrays that heom_rhs follows), and hierarchy_tables, the builder of
-`fmoheom.hierarchy`. N_SITES, the site count heom_rhs is compiled for, is
-read from the library.
+functions: heom_rhs(count, h, r, tables, a, b, gamma, q, out) and
+heom_step, the integrator's passes, and hierarchy_tables(count, sites,
+depth, binom, tables), the builder of `fmoheom.hierarchy`, with `tables`
+the hierarchy's one int32 block (`bind` checks the arrays heom_rhs
+follows). N_SITES, the site count heom_rhs is compiled for, is read from
+the library.
 """
 
 import ctypes
@@ -47,18 +49,17 @@ def check(name, array, dtype, shape):
     return array.ctypes.data
 
 
-def bind(count, h, r, n, down, up, a, b, gamma):
+def bind(count, h, r, tables, a, b, gamma):
     """The constant leading arguments of `heom_rhs`: count, the addresses of
     h = Im X (N_SITES x N_SITES float64) and of the trap rates r (N_SITES
-    float64), so that X = i h - diag(r), and of the int32 count x N_SITES
-    tables n, down and up (neighbour ranks, -1 for none), then the bath
-    coefficients a, b and gamma of `fmoheom.heom`. The caller keeps the arrays
-    alive."""
-    ptrs = [check("h", h, np.float64, (N_SITES, N_SITES)),
-            check("r", r, np.float64, (N_SITES,))]
-    ptrs += [check(name, table, np.int32, (count, N_SITES))
-             for name, table in (("n", n), ("down", down), ("up", up))]
-    for name, ranks in (("down", down), ("up", up)):
+    float64), so that X = i h - diag(r), and of the hierarchy's int32
+    (3, count, N_SITES) tables, the planes n, down and up (neighbour ranks,
+    -1 for none), then the bath coefficients a, b and gamma of
+    `fmoheom.heom`. The caller keeps the arrays alive."""
+    ptrs = (check("h", h, np.float64, (N_SITES, N_SITES)),
+            check("r", r, np.float64, (N_SITES,)),
+            check("tables", tables, np.int32, (3, count, N_SITES)))
+    for name, ranks in zip(("down", "up"), tables[1:]):
         if ranks.min(initial=-1) < -1 or ranks.max(initial=-1) >= count:
             raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
     return (count, *ptrs, a, b, gamma)
@@ -91,8 +92,8 @@ def cpu_identity():
 def build(directory=None):
     """Path of the compiled library in `directory`, compiling it if absent."""
     directory = Path(directory or cache_dir())
-    key = hashlib.sha256("\0".join(
-        [SOURCE.read_text(), COMPILER, *FLAGS, cpu_identity()]).encode())
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update("\0".join(["", COMPILER, *FLAGS, cpu_identity()]).encode())
     library = directory / f"_kernel-{key.hexdigest()[:16]}.so"
     if library.exists():
         return library
@@ -124,12 +125,11 @@ def load():
     """The kernel library with its argument and result types declared."""
     lib = ctypes.CDLL(str(build()))
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, ptr, ptr, double, double, double,
-                             ptr, ptr]
+    lib.heom_rhs.argtypes = [long_, ptr, ptr, ptr, double, double, double, ptr, ptr]
     lib.heom_rhs.restype = None
     lib.heom_step.argtypes = [long_, ptr, double, double, ctypes.POINTER(ptr)]
     lib.heom_step.restype = double
-    lib.hierarchy_tables.argtypes = [long_, long_, long_, ptr, ptr, ptr, ptr]
+    lib.hierarchy_tables.argtypes = [long_, long_, long_, ptr, ptr]
     lib.hierarchy_tables.restype = None
     return lib
 

@@ -101,12 +101,12 @@ def reference_rhs(prop, z):
     Neighbours are looked up in a rank dict of the multi-indices, not in
     the propagator's neighbour table.
     """
-    p, space = prop.params, prop.space
+    p, indices = prop.params, prop.space.tables[0]
     coef = reference_coefficients(p)
-    rank = {tuple(int(v) for v in row): i for i, row in enumerate(space.indices)}
+    rank = {tuple(int(v) for v in row): i for i, row in enumerate(indices)}
     out = np.empty_like(z, dtype=complex)
     for c in range(prop.count):
-        nk = space.indices[c]
+        nk = indices[c]
         d = -1j * apply_liouvillian(z[c], coef)
         d -= sum(n * coef.gamma for n in nk) * z[c]
         d += apply_trapping(z[c], p.trap_sites, p.trap_rate_inv_fs)

@@ -208,10 +208,10 @@ class TestRHS:
         # Every edge n - e_k -> n (n_k > 0) is read from both ends; a node
         # has no up neighbour along any site exactly when it is at depth N.
         space = HEOMPropagator(SystemParams(truncation_N=n_trunc)).space
-        up = space.neighbors_plus
-        node, site = np.nonzero(space.indices)
-        np.testing.assert_array_equal(up[space.neighbors_minus[node, site], site], node)
-        top = space.indices.sum(axis=1) == n_trunc
+        n, down, up = space.tables
+        node, site = np.nonzero(n)
+        np.testing.assert_array_equal(up[down[node, site], site], node)
+        top = n.sum(axis=1) == n_trunc
         np.testing.assert_array_equal(up == -1, np.repeat(top[:, None], 7, axis=1))
 
     def test_shape_mismatch(self, params):

@@ -34,16 +34,17 @@ class TestCounting:
     def test_no_sites(self):
         space = enumerate_hierarchy(0, 3)
         assert space.count == 1
-        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+        for table in space.tables:
             assert table.shape == (1, 0)
 
     def test_node_limit_on_one_site(self):
         # The deepest hierarchy the limit admits: a chain of 5 000 000 nodes.
         space = enumerate_hierarchy(1, MAX_NODES - 1)
         assert space.count == MAX_NODES
-        assert space.indices[-1].tolist() == [MAX_NODES - 1]
-        assert space.neighbors_minus[-1].tolist() == [MAX_NODES - 2]
-        assert space.neighbors_plus[-1].tolist() == [NO_NEIGHBOR]
+        n, down, up = space.tables
+        assert n[-1].tolist() == [MAX_NODES - 1]
+        assert down[-1].tolist() == [MAX_NODES - 2]
+        assert up[-1].tolist() == [NO_NEIGHBOR]
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
@@ -77,9 +78,10 @@ class TestCounting:
         space = enumerate_hierarchy(n_sites, depth)
         assert space.count == comb(depth + n_sites, n_sites)
         # every index is distinct and within depth
-        seen = {tuple(row) for row in space.indices}
+        n = space.tables[0]
+        seen = {tuple(row) for row in n}
         assert len(seen) == space.count
-        assert space.indices.sum(axis=1).max() <= depth
+        assert n.sum(axis=1).max() <= depth
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="node"):
@@ -88,7 +90,7 @@ class TestCounting:
 
 class TestOrdering:
     def test_graded_lex(self):
-        idx = enumerate_hierarchy(3, 2).indices
+        idx = enumerate_hierarchy(3, 2).tables[0]
         depths = idx.sum(axis=1)
         assert np.all(np.diff(depths) >= 0)  # graded
         for d in range(3):
@@ -97,7 +99,7 @@ class TestOrdering:
 
     def test_root_first(self):
         space = enumerate_hierarchy(7, 3)
-        assert not space.indices[0].any()
+        assert not space.tables[0, 0].any()
 
 
 class TestAdjacency:
@@ -107,16 +109,18 @@ class TestAdjacency:
         return enumerate_hierarchy(7, 4)
 
     def test_minus_iff_positive(self, space):
-        has_minus = space.neighbors_minus != NO_NEIGHBOR
-        np.testing.assert_array_equal(has_minus, space.indices > 0)
+        n, down, _ = space.tables
+        has_minus = down != NO_NEIGHBOR
+        np.testing.assert_array_equal(has_minus, n > 0)
 
     @pytest.mark.parametrize("n_sites,depth", [(7, 3), (3, 6), (1, 4), (63, 1),
                                                (7, 12)])
     def test_tables_match_brute_force(self, n_sites, depth):
         # Every row, or a seeded sample of 2 000 rows of the larger tables.
         space = enumerate_hierarchy(n_sites, depth)
+        indices, minus, plus = space.tables
         nodes = graded_lex(n_sites, depth)
-        assert space.indices.tolist() == [list(n) for n in nodes]
+        assert indices.tolist() == [list(n) for n in nodes]
         rank = {n: i for i, n in enumerate(nodes)}
         rows = range(space.count)
         if space.count > 2000:
@@ -126,29 +130,27 @@ class TestAdjacency:
             for k in range(n_sites):
                 down = list(row)
                 down[k] -= 1
-                assert space.neighbors_minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)
+                assert minus[i, k] == rank.get(tuple(down), NO_NEIGHBOR)
                 up = list(row)
                 up[k] += 1
-                assert space.neighbors_plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
+                assert plus[i, k] == rank.get(tuple(up), NO_NEIGHBOR)
 
     @pytest.mark.parametrize("n_sites", [1, 3, 7])
     @pytest.mark.parametrize("depth", range(8))
     def test_each_level_is_a_prefix_of_the_next(self, n_sites, depth):
         # Level N is the first count(N) rows of level N + 1, whose up
         # ranks at depth N point past them and read NO_NEIGHBOR at level N.
-        low = enumerate_hierarchy(n_sites, depth)
-        high = enumerate_hierarchy(n_sites, depth + 1)
-        count = low.count
-        np.testing.assert_array_equal(low.indices, high.indices[:count])
-        np.testing.assert_array_equal(low.neighbors_minus,
-                                      high.neighbors_minus[:count])
-        plus = high.neighbors_plus[:count]
+        low = enumerate_hierarchy(n_sites, depth).tables
+        high = enumerate_hierarchy(n_sites, depth + 1).tables
+        count = low.shape[1]
+        np.testing.assert_array_equal(low[:2], high[:2, :count])
+        plus = high[2, :count]
         np.testing.assert_array_equal(
-            low.neighbors_plus, np.where(plus >= count, NO_NEIGHBOR, plus))
+            low[2], np.where(plus >= count, NO_NEIGHBOR, plus))
 
     def test_tables_are_read_only(self, space):
         # The compiled kernel follows the ranks without checking them again.
-        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+        for table in space.tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 10**9
 
@@ -156,7 +158,10 @@ class TestAdjacency:
                              + [(1, 4), (0, 3)])
     def test_tables_are_int32(self, n_sites, depth):
         space = enumerate_hierarchy(n_sites, depth)
-        for table in (space.indices, space.neighbors_minus, space.neighbors_plus):
+        block = space.tables
+        assert block.shape == (3, space.count, n_sites)
+        assert block.flags.c_contiguous and not block.flags.writeable
+        for table in block:
             assert table.dtype == np.int32 and table.flags.c_contiguous
             assert not table.flags.writeable
 

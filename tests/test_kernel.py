@@ -242,6 +242,25 @@ def test_warm_cache_import_loads_no_subprocess():
     assert result.stdout.strip() == "False"
 
 
+def test_cache_key_reads_the_source_as_bytes(tmp_path):
+    # In the C locale, with UTF-8 mode off, text is decoded as ASCII: a
+    # non-ASCII character in a comment of the source must not stop the
+    # import. COMPILER = "true" stands in for a compiler, so nothing compiles.
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(kernel.SOURCE.read_bytes() + "/* R′ */\n".encode())
+    code = ("import sys; from pathlib import Path; from fmoheom import kernel; "
+            "kernel.SOURCE = Path(sys.argv[1]); kernel.COMPILER = 'true'; "
+            "print(kernel.build(Path(sys.argv[2])).name)")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    result = subprocess.run([sys.executable, "-c", code, str(source), str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    name = result.stdout.strip()
+    assert re.fullmatch(r"_kernel-[0-9a-f]{16}\.so", name)
+    assert (tmp_path / name).exists()
+
+
 @pytest.mark.parametrize("relative", [False, True])
 def test_cache_dir_ignores_a_relative_xdg_cache_home(tmp_path, monkeypatch, relative):
     # The XDG Base Directory spec: a relative path is invalid and ignored,
@@ -322,32 +341,37 @@ def test_bind_checks_the_arrays():
     # unseen by every RHS test; bind refuses it. Each array is refused
     # before any address reaches the kernel.
     h, r = np.zeros((7, 7)), np.zeros(7)
-    n = np.array([[0] * 7, [1] + [0] * 6], dtype=np.int32)
-    down = np.array([[-1] * 7, [0] + [-1] * 6], dtype=np.int32)
-    up = np.array([[1] + [-1] * 6, [-1] * 7], dtype=np.int32)
-    args = kernel.bind(2, h, r, n, down, up, 3.0, 2.0, 0.5)
+    tables = np.array([[[0] * 7, [1] + [0] * 6],         # n
+                       [[-1] * 7, [0] + [-1] * 6],       # down
+                       [[1] + [-1] * 6, [-1] * 7]],      # up
+                      dtype=np.int32)
+    args = kernel.bind(2, h, r, tables, 3.0, 2.0, 0.5)
     assert args[0] == 2 and args[-3:] == (3.0, 2.0, 0.5)
     with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
-        kernel.bind(2, np.asfortranarray(h + np.eye(7, k=1)), r, n, down, up,
+        kernel.bind(2, np.asfortranarray(h + np.eye(7, k=1)), r, tables,
                     1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="h must be a C-contiguous float64"):
-        kernel.bind(2, h.astype(complex), r, n, down, up, 1.0, 0.0, 1.0)
+        kernel.bind(2, h.astype(complex), r, tables, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"h must be .* of shape \(7, 7\)"):
-        kernel.bind(2, h[:6].copy(), r, n, down, up, 1.0, 0.0, 1.0)
+        kernel.bind(2, h[:6].copy(), r, tables, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="r must be a C-contiguous float64"):
-        kernel.bind(2, h, r.astype(np.float32), n, down, up, 1.0, 0.0, 1.0)
+        kernel.bind(2, h, r.astype(np.float32), tables, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"r must be .* of shape \(7,\)"):
-        kernel.bind(2, h, np.zeros((7, 1)), n, down, up, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="down must be a C-contiguous int32"):
-        kernel.bind(2, h, r, n, down.astype(np.int64), up, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"n must be .* of shape \(3, 7\)"):
-        kernel.bind(3, h, r, n, down, up, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"up must be .* of shape \(2, 7\)"):
-        kernel.bind(2, h, r, n, down, up[:, :6].copy(), 1.0, 0.0, 1.0)
+        kernel.bind(2, h, np.zeros((7, 1)), tables, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="tables must be a C-contiguous int32"):
+        kernel.bind(2, h, r, tables.astype(np.int64), 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="tables must be a C-contiguous int32"):
+        kernel.bind(2, h, r, np.ascontiguousarray(tables.transpose(1, 0, 2))
+                    .transpose(1, 0, 2), 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"tables must be .* of shape \(3, 3, 7\)"):
+        kernel.bind(3, h, r, tables, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"tables must be .* of shape \(3, 2, 7\)"):
+        kernel.bind(2, h, r, tables[:, :, :6].copy(), 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"tables must be .* of shape \(3, 2, 7\)"):
+        kernel.bind(2, h, r, tables[:2].copy(), 1.0, 0.0, 1.0)
     for rank in (2, -2):
-        bad = up.copy()
-        bad[0, 3] = rank
-        with pytest.raises(ValueError, match=r"up ranks must lie in -1\.\.1"):
-            kernel.bind(2, h, r, n, down, bad, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match=r"down ranks must lie in -1\.\.1"):
-            kernel.bind(2, h, r, n, bad, up, 1.0, 0.0, 1.0)
+        for plane, name in ((1, "down"), (2, "up")):
+            bad = tables.copy()
+            bad[plane, 0, 3] = rank
+            with pytest.raises(ValueError, match=rf"{name} ranks must lie in -1\.\.1"):
+                kernel.bind(2, h, r, bad, 1.0, 0.0, 1.0)
