@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .measures import all_pairs, horodecki_M, reduce_pair
+from .measures import all_pairs, closed_form_measures, reduce_pair
 from .model import CM_TO_RADFS, N_SITES, check_finite, check_site, fret_state
 
 
@@ -117,7 +117,7 @@ def fret_interference_report(x, basis):
         coherence_full=float(contributions.sum()),
         pop_m=reduced.pop_m,
         pop_n=reduced.pop_n,
-        horodecki_M_full=horodecki_M(reduced.matrix),
+        horodecki_M_full=closed_form_measures(reduced).M,
         non_paper_site=x not in (1, 6),
     )
 
@@ -133,10 +133,9 @@ def detect_sudden_death(series, threshold=1e-6):
     """Locate the last permanent downward crossing of B through `threshold`.
 
     B = sqrt(max(M - 1, 0)) falls to zero like a square root, so the
-    crossing is found on M - 1 = max(2 mu1, mu1 + mu3) - 1, which crosses
-    zero with a nonzero slope, against threshold^2, by linear interpolation
-    between the last sample above it and the next. peak_B and peak_time_fs
-    are grid samples.
+    crossing is found on M - 1, which crosses zero with a nonzero slope,
+    against threshold^2, by linear interpolation between the last sample
+    above it and the next. peak_B and peak_time_fs are grid samples.
 
     Returns death_time_fs = None when B never exceeds the threshold, or when
     it is still above it at the end of the grid (no permanent drop observed).
@@ -147,8 +146,7 @@ def detect_sudden_death(series, threshold=1e-6):
         raise ValueError("empty time series")
     i_peak = int(np.argmax(series.B))
     report = dict(peak_B=float(series.B[i_peak]), peak_time_fs=float(t[i_peak]))
-    excess = (np.maximum(2.0 * series.mu1, series.mu1 + series.mu3) - 1.0
-              - threshold ** 2)
+    excess = series.M - 1.0 - threshold ** 2
     above = excess > 0.0
     if not above.any() or above[-1]:
         return SuddenDeathReport(death_time_fs=None, **report)

@@ -61,10 +61,11 @@ def cmd_simulate(cfg, outdir, args):
 
     for m, nn in cfg.pair_list():
         s = measures.pair_series(traj, m, nn)
+        # The l1 coherence of a single-excitation pair is C.
         write_csv(
             outdir / f"measures_{m}_{nn}.csv",
             ["t_fs", "B", "C", "l1", "mu1", "mu3"],
-            np.column_stack([s.times_fs, s.B, s.C, s.l1, s.mu1, s.mu3]),
+            np.column_stack([s.times_fs, s.B, s.C, s.C, s.mu1, s.mu3]),
         )
     _write_manifest(outdir, cfg, {"hierarchy_count": traj.hierarchy_count})
     return 0

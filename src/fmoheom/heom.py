@@ -208,11 +208,16 @@ class HEOMPropagator:
         Only the physical operator zeta(0) is stored, at the times of
         params.output_times(). It is read from the dense output of each
         step, evaluated for the n * n physical entries only, so memory
-        stays flat in the grid size.
+        stays flat in the grid size. `rho0` must be a density operator, up
+        to linalg.STATE_TOL: trace at most 1, no negative eigenvalue.
         """
         times = self.params.output_times()
         t_end = float(times[-1])
         y = self.initial_hierarchy(rho0)
+        trace, lowest = np.trace(rho0).real, np.linalg.eigvalsh(rho0)[0]
+        if trace > 1.0 + linalg.STATE_TOL or lowest < -linalg.STATE_TOL:
+            raise ValueError(f"initial state is not a density operator: trace {trace}, "
+                             f"smallest eigenvalue {lowest:.3e}")
         samples = np.empty((times.size, N_SITES, N_SITES))
 
         cfg = self.config

@@ -17,6 +17,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 HERMITIAN_RTOL = 1e-9
+# A state's trace may exceed 1, and its eigenvalues and populations fall
+# below 0, by at most STATE_TOL.
+STATE_TOL = 1e-9
 
 
 class NonHermitianError(ValueError):

@@ -6,9 +6,9 @@ them, whose double-excitation sector is empty because the model is
 restricted to one excitation. Measures are evaluated on the trace-carrying
 reduced state (trace <= 1 when trapping is active) without renormalization.
 
-Each measure has two routes: a closed form valid for this single-excitation
-family, and the general-purpose construction (Horodecki correlation matrix,
-Wootters spin-flip) used as an independent cross-check.
+The program computes the closed forms valid for this single-excitation
+family (`closed_form_measures`). The general-purpose constructions
+(Horodecki correlation matrix, Wootters spin-flip) are their check.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULI, check_hermitian
+from .linalg import PAULI, STATE_TOL, check_hermitian
 from .hierarchy import _is_integer
 from .model import N_SITES
 
@@ -70,13 +70,13 @@ def reduce_pair(rho, m, n):
     # out of their 0-d arrays, so the arithmetic and the checks below
     # (count_nonzero as any) make no array; [()] passes a stack's arrays.
     tr = rho.trace(axis1=-2, axis2=-1).real
-    if np.count_nonzero(tr > 1.0 + 1e-9):
+    if np.count_nonzero(tr > 1.0 + STATE_TOL):
         raise ValueError(f"state trace {np.max(tr)} exceeds 1")
     p_m = rho[..., m - 1, m - 1].real[()]
     p_n = rho[..., n - 1, n - 1].real[()]
     c = rho[..., m - 1, n - 1][()]
     gg = tr - p_m - p_n
-    if np.count_nonzero(gg < -1e-9):
+    if np.count_nonzero(gg < -STATE_TOL):
         raise ValueError(f"negative ground-ground population {np.min(gg):.3e}; "
                          "full state is corrupted")
     return ReducedPairState(m=m, n=n, source_trace=tr, pop_m=p_m, pop_n=p_n,
@@ -121,29 +121,29 @@ class PairMeasures:
 
     B: float
     C: float
-    l1: float
+    M: float
     mu1: float
     mu3: float
 
 
 def closed_form_measures(reduced):
-    """Closed-form B, concurrence and l1 coherence for a single-excitation pair.
+    """Closed-form B, Horodecki's M and concurrence for a single-excitation pair.
 
     The correlation-matrix spectrum for this family is mu1 = mu2 =
     4|rho_mn|^2 and mu3 = (Tr - 2(rho_mm + rho_nn))^2, so
-    M = max(8|rho_mn|^2, 4|rho_mn|^2 + mu3); concurrence and l1 coherence
-    both equal 2|rho_mn|. Elementwise over a stack of reduced states;
-    hypot and float_power round exactly as abs(complex) and x ** 2 do on
-    Python scalars.
+    M = max(2 mu1, mu1 + mu3) and B = sqrt(max(M - 1, 0)); concurrence
+    and l1 coherence both equal C = 2|rho_mn|. Elementwise over a stack
+    of reduced states; hypot and float_power round exactly as abs(complex)
+    and x ** 2 do on Python scalars.
     """
     coherence = reduced.coherence
     c_abs = np.hypot(coherence.real, coherence.imag)
     mu1 = 4.0 * np.float_power(c_abs, 2)
     mu3 = np.float_power(
         reduced.source_trace - 2.0 * (reduced.pop_m + reduced.pop_n), 2)
-    b = np.sqrt(np.maximum(np.maximum(2.0 * mu1, mu1 + mu3) - 1.0, 0.0))
-    c = 2.0 * c_abs
-    return PairMeasures(B=b, C=c, l1=c, mu1=mu1, mu3=mu3)
+    m = np.maximum(2.0 * mu1, mu1 + mu3)
+    return PairMeasures(B=np.sqrt(np.maximum(m - 1.0, 0.0)), C=2.0 * c_abs, M=m,
+                        mu1=mu1, mu3=mu3)
 
 
 def wootters_concurrence(rho4):

@@ -9,7 +9,8 @@ from fmoheom.analysis import (
     short_time_validation,
 )
 from fmoheom.heom import HEOMPropagator
-from fmoheom.measures import CorrelationTimeSeries, pair_series
+from fmoheom.measures import (CorrelationTimeSeries, horodecki_M, pair_series,
+                              reduce_pair)
 from fmoheom.model import (CM_TO_RADFS, SystemParams, exciton_basis, fret_state,
                            localized_state)
 
@@ -20,11 +21,11 @@ def params():
 
 
 def _series(t, b, c=None):
-    # mu1 = mu3 = (1 + B^2) / 2 makes M - 1 = max(2 mu1, mu1 + mu3) - 1 = B^2,
+    # mu1 = mu3 = (1 + B^2) / 2 makes M = max(2 mu1, mu1 + mu3) = 1 + B^2,
     # as in a state with that B.
     c = np.zeros_like(t) if c is None else c
     mu = (1.0 + b ** 2) / 2.0
-    return CorrelationTimeSeries(m=1, n=2, times_fs=t, B=b, C=c, l1=c,
+    return CorrelationTimeSeries(m=1, n=2, times_fs=t, B=b, C=c, M=2.0 * mu,
                                  mu1=mu, mu3=mu)
 
 
@@ -117,6 +118,14 @@ class TestFretReport:
     def test_populations_are_floats(self, basis, x):
         rep = fret_interference_report(x, basis)
         assert isinstance(rep.pop_m, float) and isinstance(rep.pop_n, float)
+
+    @pytest.mark.parametrize("x", range(1, 8))
+    def test_horodecki_M_is_the_general_route(self, basis, x):
+        # The closed-form M the report carries against the correlation-matrix
+        # eigenvalues of the same reduced state.
+        rep = fret_interference_report(x, basis)
+        general = horodecki_M(reduce_pair(fret_state(x, basis), rep.m, rep.n).matrix)
+        assert abs(rep.horodecki_M_full - general) < 1e-12
 
     @pytest.mark.parametrize("x", range(1, 7))
     def test_exciton_off_the_pair_scores_zero(self, x):

@@ -311,6 +311,9 @@ class TestSimulate:
         assert row0[0] == 0.0 and row0[1] == 1.0 and sum(row0[2:8]) == 0.0
         meas = (out / "measures_1_2.csv").read_text().splitlines()
         assert meas[0] == "t_fs,B,C,l1,mu1,mu3"
+        # l1 = C for a single-excitation pair: the two columns' text agrees.
+        cols = [row.split(",") for row in meas[1:]]
+        assert len(cols) > 1 and all(r[3] == r[2] for r in cols)
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["hierarchy_count"] == 36  # C(9,7)
         assert manifest["system.truncation_N"] == 2

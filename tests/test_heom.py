@@ -549,6 +549,29 @@ class TestIntegration:
             prop.run(rho)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("rho", [
+        np.pad([[0.5, 0.9], [0.9, 0.5]], (0, 5)), 2.0 * localized_state(1),
+        -localized_state(1),
+    ], ids=["eigenvalue_-0.4", "trace_2", "negative_population"])
+    def test_non_density_initial_state_rejected(self, params, rho):
+        # Hermitian starts that are no density operator are refused before
+        # the first RHS call, not integrated and found out by the measures.
+        prop = HEOMPropagator(params)
+        calls = counting(prop)
+        with pytest.raises(ValueError, match="initial state is not a density operator"):
+            prop.run(rho)
+        assert calls[0] == 0
+
+    def test_convergence_study_refuses_a_non_density_start(self, monkeypatch):
+        calls = []
+        rhs = HEOMPropagator.rhs
+        monkeypatch.setattr(HEOMPropagator, "rhs",
+                            lambda self, *a, **k: calls.append(1) or rhs(self, *a, **k))
+        p = SystemParams(truncation_N=0, t_end_fs=10.0)
+        with pytest.raises(ValueError, match="initial state"):
+            convergence_study(2.0 * localized_state(1), p, [1, 2])
+        assert calls == []
+
     def test_convergence_study_checks_every_level_first(self, monkeypatch):
         runs = []
         monkeypatch.setattr(HEOMPropagator, "run", lambda self, rho0: runs.append(1))

@@ -177,7 +177,8 @@ class TestClosedForm:
             meas = closed_form_measures(r)
             assert abs(meas.B - nonlocality_B(mat)) < 1e-10
             assert abs(meas.C - wootters_concurrence(mat)) < 1e-10
-            assert meas.C == meas.l1
+            assert meas.M == max(2.0 * meas.mu1, meas.mu1 + meas.mu3)
+            assert abs(meas.M - horodecki_M(mat)) < 1e-12
             if meas.B > 0:
                 assert meas.C > 0
 
@@ -256,11 +257,12 @@ class TestPairSeries:
     def test_along_trajectory(self, traj_x1_n6):
         s = pair_series(traj_x1_n6, 1, 2)
         assert s.times_fs.shape == s.B.shape == s.C.shape
-        np.testing.assert_allclose(s.l1, s.C)
+        assert np.array_equal(s.M, np.maximum(2.0 * s.mu1, s.mu1 + s.mu3))
         assert np.all(s.B >= 0) and np.all(s.C >= 0)
         # closed form agrees with general measures on sampled states
         for i in range(0, s.times_fs.size, 50):
             r = reduce_pair(traj_x1_n6.rhos[i], 1, 2)
+            assert abs(s.M[i] - horodecki_M(r.matrix)) < 1e-12
             assert abs(s.B[i] - nonlocality_B(r.matrix)) < 1e-10
             assert abs(s.C[i] - wootters_concurrence(r.matrix)) < 1e-10
             assert positivity_bound_check(r)
@@ -277,7 +279,7 @@ class TestPairSeries:
             s = pair_series(traj, m, n)
             per_sample = [closed_form_measures(reduce_pair(rho, m, n))
                           for rho in traj.rhos]
-            for field in ("B", "C", "l1", "mu1", "mu3"):
+            for field in ("B", "C", "M", "mu1", "mu3"):
                 expected = [getattr(p, field) for p in per_sample]
                 assert np.array_equal(getattr(s, field), expected), (m, n, field)
 
