@@ -12,7 +12,7 @@ pairs.
 import re
 from dataclasses import dataclass
 
-from .heom import IntegratorConfig
+from .heom import IntegratorConfig, check_step_count
 from .measures import all_pairs
 from .model import SystemParams, check_site
 
@@ -177,6 +177,7 @@ def build_run_config(flat):
     try:
         params = SystemParams(**kwargs["params"])
         integrator = IntegratorConfig(**kwargs["integrator"])
+        check_step_count(params.t_end_fs, integrator.max_step_fs)
         cfg = RunConfig(params=params, integrator=integrator, **kwargs["run"])
         check_site(cfg.initial_site, "initial.site")
         for m, n in cfg.pair_list():

@@ -75,7 +75,7 @@ import numpy as np
 
 from . import kernel, linalg
 from .hierarchy import enumerate_hierarchy
-from .model import CM_TO_RADFS, KB_CM_PER_K, N_SITES, check_finite
+from .model import CM_TO_RADFS, KB_CM_PER_K, MAX_SAMPLES, N_SITES, check_finite
 
 # The step polynomials of the module docstring as the coefficients of
 # h^i w_i, w_i = L^i y, that `run` scales by h^i for the compiled pass:
@@ -100,6 +100,21 @@ class IntegratorConfig:
         if self.rel_tol < _MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {_MIN_REL_TOL:.3g} (100 eps, "
                              f"RK45's floor), got {self.rel_tol}")
+
+
+# The configuration of every propagator given none; frozen, so it is shared.
+_DEFAULT_CONFIG = IntegratorConfig()
+
+
+def check_step_count(t_end_fs, max_step_fs):
+    """Refuse a step cap under which a run takes more than MAX_SAMPLES
+    steps, the limit of an output grid's intervals: a run over t_end_fs
+    takes at least t_end_fs / max_step_fs steps."""
+    steps = t_end_fs / max_step_fs
+    if steps > MAX_SAMPLES:
+        raise ValueError(
+            f"t_end_fs = {t_end_fs:g} over max_step_fs = {max_step_fs:g} forces "
+            f"at least {steps:.3g} steps, above the {MAX_SAMPLES} step limit")
 
 
 class IntegrationError(RuntimeError):
@@ -151,7 +166,7 @@ class HEOMPropagator:
 
     def __init__(self, params, config=None):
         self.params = params
-        self.config = config or IntegratorConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.space = space = enumerate_hierarchy(N_SITES, params.truncation_N)
         # The bath coefficients (module docstring), in rad/fs with hbar = 1.
         lam = params.lambda_cm * CM_TO_RADFS
@@ -209,8 +224,11 @@ class HEOMPropagator:
         params.output_times(). It is read from the dense output of each
         step, evaluated for the n * n physical entries only, so memory
         stays flat in the grid size. `rho0` must be a density operator, up
-        to linalg.STATE_TOL: trace at most 1, no negative eigenvalue.
+        to linalg.STATE_TOL: trace at most 1, no negative eigenvalue; and
+        the step cap must pass `check_step_count`.
         """
+        cfg = self.config
+        check_step_count(self.params.t_end_fs, cfg.max_step_fs)
         times = self.params.output_times()
         t_end = float(times[-1])
         y = self.initial_hierarchy(rho0)
@@ -220,7 +238,6 @@ class HEOMPropagator:
                              f"smallest eigenvalue {lowest:.3e}")
         samples = np.empty((times.size, N_SITES, N_SITES))
 
-        cfg = self.config
         # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
         # addresses, swapped together, and its weights: _Y_NEW, then _ERROR,
         # times h^i. All of them live until the loop ends.

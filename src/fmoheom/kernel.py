@@ -56,12 +56,15 @@ def bind(count, h, r, tables, a, b, gamma):
     (3, count, N_SITES) tables, the planes n, down and up (neighbour ranks,
     -1 for none), then the bath coefficients a, b and gamma of
     `fmoheom.heom`. The caller keeps the arrays alive."""
+    def out_of_range(ranks):
+        return ranks.min(initial=-1) < -1 or ranks.max(initial=-1) >= count
+
     ptrs = (check("h", h, np.float64, (N_SITES, N_SITES)),
             check("r", r, np.float64, (N_SITES,)),
             check("tables", tables, np.int32, (3, count, N_SITES)))
-    for name, ranks in zip(("down", "up"), tables[1:]):
-        if ranks.min(initial=-1) < -1 or ranks.max(initial=-1) >= count:
-            raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
+    if out_of_range(tables[1:]):  # both planes at once; name the first bad one
+        name = "down" if out_of_range(tables[1]) else "up"
+        raise ValueError(f"{name} ranks must lie in -1..{count - 1}")
     return (count, *ptrs, a, b, gamma)
 
 

@@ -24,10 +24,33 @@ CM_TO_RADFS = 2.0 * np.pi * C_CM_PER_FS
 KB_CM_PER_K = 0.69503
 
 
+def checked_hamiltonian(value):
+    """A read-only float64 copy of `value`, or ValueError unless it is a real,
+    finite, symmetric N_SITES x N_SITES matrix. A complex dtype is accepted
+    when every imaginary part is zero: the kernel reads H as a real matrix."""
+    h = np.asarray(value)
+    # A bool, integer or float dtype has no imaginary part to test.
+    if h.dtype.kind not in "biuf" and np.any(np.imag(h) != 0):
+        raise ValueError("hamiltonian_cm must be real")
+    h = np.array(np.real(h), dtype=float)
+    if h.shape != (N_SITES, N_SITES):
+        raise ValueError(f"hamiltonian_cm must be {N_SITES}x{N_SITES}")
+    size = np.abs(h).max()  # NaN or inf when an entry is not finite
+    if not math.isfinite(size):
+        raise ValueError("hamiltonian_cm must be finite")
+    if np.abs(h - h.T).max() > 1e-12 * max(size, 1.0):
+        raise ValueError("hamiltonian_cm must be symmetric")
+    h.flags.writeable = False
+    return h
+
+
 # Electronic Hamiltonian of one FMO monomer (Chlorobaculum tepidum) in cm^-1.
 # The common 12210 cm^-1 offset on the diagonal is dropped: it shifts every
 # single-excitation state equally and only contributes a global phase.
-FMO_HAMILTONIAN_CM = np.array(
+# Checked here once, it is the default of every SystemParams, which keeps
+# it without a copy. It is a view of a read-only array, so it cannot be
+# made writeable.
+FMO_HAMILTONIAN_CM = checked_hamiltonian(
     [
         [200.0, -87.7, 5.5, -5.9, 6.7, -13.7, -9.9],
         [-87.7, 320.0, 30.8, 8.2, 0.7, 11.8, 4.3],
@@ -37,11 +60,11 @@ FMO_HAMILTONIAN_CM = np.array(
         [-13.7, 11.8, -9.6, -17.0, 81.1, 420.0, 39.7],
         [-9.9, 4.3, 6.0, -63.3, -1.3, 39.7, 230.0],
     ]
-)
-FMO_HAMILTONIAN_CM.flags.writeable = False  # the default of every SystemParams
+).view()
 
 # Most output intervals t_end_fs / dt_out_fs of one run: the (T, 7, 7)
-# real samples alone then take 2 GB.
+# real samples alone then take 2 GB. heom.check_step_count bounds the
+# steps t_end_fs / max_step_fs that a step cap forces by the same number.
 MAX_SAMPLES = 5_000_000
 
 
@@ -75,7 +98,7 @@ class SystemParams:
     i.e. gamma_k = 1 / gamma_inv_fs.
     """
 
-    hamiltonian_cm: np.ndarray = field(default_factory=FMO_HAMILTONIAN_CM.copy)
+    hamiltonian_cm: np.ndarray = field(default_factory=lambda: FMO_HAMILTONIAN_CM)
     lambda_cm: float = 35.0
     gamma_inv_fs: float = 50.0
     temperature_K: float = 300.0
@@ -86,16 +109,9 @@ class SystemParams:
     dt_out_fs: float = 1.0
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian_cm)
-        if np.any(np.imag(h) != 0):  # the kernel reads H as a real matrix
-            raise ValueError("hamiltonian_cm must be real")
-        h = np.array(np.real(h), dtype=float)  # our own copy, made read-only below
-        if h.shape != (N_SITES, N_SITES):
-            raise ValueError(f"hamiltonian_cm must be {N_SITES}x{N_SITES}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("hamiltonian_cm must be finite")
-        if np.max(np.abs(h - h.T)) > 1e-12 * max(np.max(np.abs(h)), 1.0):
-            raise ValueError("hamiltonian_cm must be symmetric")
+        if self.hamiltonian_cm is not FMO_HAMILTONIAN_CM:  # checked at import
+            object.__setattr__(self, "hamiltonian_cm",
+                               checked_hamiltonian(self.hamiltonian_cm))
         if not _is_integer(self.truncation_N):
             raise ValueError(
                 f"truncation_N must be an integer, got {self.truncation_N!r}")
@@ -118,8 +134,6 @@ class SystemParams:
         if len(set(self.trap_sites)) != len(self.trap_sites):
             raise ValueError(
                 f"trap_sites must not repeat a site, got {self.trap_sites}")
-        h.flags.writeable = False
-        object.__setattr__(self, "hamiltonian_cm", h)
 
     def output_times(self):
         """Output grid i * dt_out_fs whose last sample is t_end_fs itself."""

@@ -30,6 +30,15 @@ HUGE_GRID = [
     "--set", "pairs=1-2",
 ]
 
+# A step cap under which a run cannot end: refused, not run for ever.
+TINY_CAP = [
+    "--set", "system.truncation_N=1",
+    "--set", "system.t_end_fs=2",
+    "--set", "integrator.max_step_fs=1e-300",
+]
+TINY_CAP_ERROR = ("error: system.t_end_fs = 2 over integrator.max_step_fs = 1e-300 "
+                  "forces at least 2e+300 steps, above the 5000000 step limit\n")
+
 # A text other than the default for every configuration key.
 NON_DEFAULT = {
     "initial.kind": "fret",
@@ -376,6 +385,8 @@ class TestSimulate:
         ("simulate", HUGE_GRID, "error: system.t_end_fs = 10000 over system.dt_out_fs"),
         ("converge", ["--n-min", "0", "--n-max", "1", *HUGE_GRID],
          "error: system.t_end_fs = 10000 over system.dt_out_fs"),
+        ("simulate", TINY_CAP, TINY_CAP_ERROR),
+        ("converge", ["--n-min", "0", "--n-max", "1", *TINY_CAP], TINY_CAP_ERROR),
     ])
     def test_too_deep_or_repeated_fails_before_output(self, tmp_path, capsys,
                                                       monkeypatch, command, args, flag):

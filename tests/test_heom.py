@@ -4,16 +4,25 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fmoheom import kernel
 from fmoheom.heom import (
     HEOMPropagator,
     IntegrationError,
     IntegratorConfig,
+    check_step_count,
     convergence_study,
     from_real,
     to_real,
 )
+from fmoheom.hierarchy import enumerate_hierarchy
 from fmoheom.linalg import NonHermitianError
-from fmoheom.model import SystemParams, fret_state, localized_state
+from fmoheom.model import (
+    FMO_HAMILTONIAN_CM,
+    MAX_SAMPLES,
+    SystemParams,
+    fret_state,
+    localized_state,
+)
 
 from conftest import random_hermitian
 from heom_reference import (
@@ -42,6 +51,11 @@ def counting(prop):
 
     prop.rhs = counted
     return calls
+
+
+def unreachable_rhs(*args, **kwargs):
+    """An RHS for a run that must be refused before its first RHS call."""
+    raise AssertionError("the run reached an RHS call")
 
 
 @pytest.fixture(scope="module")
@@ -423,15 +437,57 @@ class TestIntegration:
         assert first_nan and calls[0] - first_nan[0] <= 5
 
     def test_step_size_underflow_raises(self):
-        # A cap below the minimum step at t = 0 fails the first attempt
-        # before its chain: only the FSAL call f(y) is made.
-        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=10.0),
-                              IntegratorConfig(max_step_fs=5e-324))
+        # A generator 1e20 times stiffer after the first step rejects every
+        # attempt at t = 0.01 fs until the step falls below ten ulps of t.
+        # (No step cap can force this: check_step_count refuses a cap that
+        # small.) Each attempt is six chain calls after the FSAL call f(y).
+        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=10.0))
+        rhs = prop.rhs
+
+        def stiff_after_first_step(t, q, out=None):
+            out = rhs(t, q, out)
+            if t > 0:
+                out *= 1e20
+            return out
+
+        prop.rhs = stiff_after_first_step
         calls = counting(prop)
-        with pytest.raises(IntegrationError, match=r"failed at t = 0 fs "
+        with pytest.raises(IntegrationError, match=r"failed at t = 0\.01 fs "
                            r"\(step-size underflow or tolerance not met\)"):
             prop.run(localized_state(1))
-        assert calls[0] == 1
+        assert calls[0] > 1 + 6 * 10 and (calls[0] - 1) % 6 == 0
+
+    @pytest.mark.parametrize("t_end, cap", [(2.0, 1e-300), (2.0, 1e-7),
+                                             (10.0, 5e-324)])
+    def test_a_cap_that_forces_too_many_steps_is_refused(self, t_end, cap):
+        # Such a run cannot end (at 1e-300 fs) or takes hours; it is
+        # refused before the first RHS call.
+        prop = HEOMPropagator(SystemParams(truncation_N=1, t_end_fs=t_end),
+                              IntegratorConfig(max_step_fs=cap))
+        prop.rhs = unreachable_rhs  # without the check: fail now, not run on
+        calls = counting(prop)
+        with pytest.raises(ValueError, match=r"^t_end_fs = .* over max_step_fs = .* "
+                           r"forces at least .* steps, above the 5000000 step limit$"):
+            prop.run(localized_state(1))
+        assert calls[0] == 0
+
+    def test_step_limit_is_inclusive(self):
+        # 5000000 forced steps are allowed; the first float above is not.
+        assert MAX_SAMPLES == 5_000_000
+        check_step_count(2.0, 4e-7)
+        with pytest.raises(ValueError, match="step limit"):
+            check_step_count(2.0, np.nextafter(4e-7, 0.0))
+
+    def test_convergence_study_refuses_a_cap_that_forces_too_many_steps(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(HEOMPropagator, "rhs",
+                            lambda self, *a, **k: calls.append(1) or unreachable_rhs())
+        p = SystemParams(truncation_N=0, t_end_fs=10.0)
+        with pytest.raises(ValueError, match="step limit"):
+            convergence_study(localized_state(1), p, [1, 2],
+                              IntegratorConfig(max_step_fs=1e-6))
+        assert calls == []
 
     def test_stats_count_every_evaluation(self):
         prop = HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))
@@ -564,9 +620,8 @@ class TestIntegration:
 
     def test_convergence_study_refuses_a_non_density_start(self, monkeypatch):
         calls = []
-        rhs = HEOMPropagator.rhs
         monkeypatch.setattr(HEOMPropagator, "rhs",
-                            lambda self, *a, **k: calls.append(1) or rhs(self, *a, **k))
+                            lambda self, *a, **k: calls.append(1) or unreachable_rhs())
         p = SystemParams(truncation_N=0, t_end_fs=10.0)
         with pytest.raises(ValueError, match="initial state"):
             convergence_study(2.0 * localized_state(1), p, [1, 2])
@@ -601,3 +656,46 @@ class TestIntegration:
         prop = HEOMPropagator(params)
         with pytest.raises(ValueError):
             prop.run(np.eye(4, dtype=complex))
+
+
+def _hamiltonian(entry, dtype=float):
+    """The FMO Hamiltonian with `entry` at (1, 2) and its conjugate at (2, 1)."""
+    h = FMO_HAMILTONIAN_CM.astype(dtype)
+    h[0, 1], h[1, 0] = entry, np.conj(entry)
+    return h
+
+
+def _bind_with_bad_rank(planes, rank):
+    """kernel.bind on the tables of the N = 1 hierarchy (8 nodes) with one
+    entry of each plane in `planes` (1 down, 2 up) set to `rank`."""
+    space = enumerate_hierarchy(7, 1)
+    tables = space.tables.copy()
+    tables[list(planes), 0, 3] = rank
+    kernel.bind(space.count, np.zeros((7, 7)), np.zeros(7), tables, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: SystemParams(hamiltonian_cm=_hamiltonian(-87.7 + 5j, complex)),
+                 "hamiltonian_cm must be real", id="complex"),
+    pytest.param(lambda: SystemParams(hamiltonian_cm=np.eye(6)),
+                 "hamiltonian_cm must be 7x7", id="6x6"),
+    pytest.param(lambda: SystemParams(hamiltonian_cm=_hamiltonian(np.nan)),
+                 "hamiltonian_cm must be finite", id="nan"),
+    pytest.param(lambda: SystemParams(hamiltonian_cm=_hamiltonian(np.inf)),
+                 "hamiltonian_cm must be finite", id="+inf"),
+    pytest.param(lambda: SystemParams(hamiltonian_cm=_hamiltonian(-np.inf)),
+                 "hamiltonian_cm must be finite", id="-inf"),
+    pytest.param(lambda: SystemParams(hamiltonian_cm=FMO_HAMILTONIAN_CM + np.eye(7, k=1)),
+                 "hamiltonian_cm must be symmetric", id="asymmetric"),
+    pytest.param(lambda: _bind_with_bad_rank([1], 8),
+                 "down ranks must lie in -1..7", id="down"),
+    pytest.param(lambda: _bind_with_bad_rank([2], -2),
+                 "up ranks must lie in -1..7", id="up"),
+    pytest.param(lambda: _bind_with_bad_rank([1, 2], 8),
+                 "down ranks must lie in -1..7", id="down-and-up"),
+])
+def test_setup_rejection_messages(build, message):
+    # The whole text a user reads, whatever order the checks run in.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,23 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="read-only"):
             FMO_HAMILTONIAN_CM[0, 1] = FMO_HAMILTONIAN_CM[1, 0] = 999.0
         assert SystemParams(truncation_N=2).hamiltonian_cm[0, 1] == -87.7
+
+    def test_default_is_the_shared_constant(self):
+        p = SystemParams(truncation_N=2)
+        assert p.hamiltonian_cm is FMO_HAMILTONIAN_CM
+        assert replace(p, truncation_N=3).hamiltonian_cm is FMO_HAMILTONIAN_CM
+
+    def test_constant_cannot_be_made_writeable(self):
+        with pytest.raises(ValueError):
+            FMO_HAMILTONIAN_CM.flags.writeable = True
+        assert not FMO_HAMILTONIAN_CM.flags.writeable
+
+    def test_constant_passes_the_checks_it_skips(self):
+        # SystemParams keeps the constant unchecked; a copy of it is
+        # checked and comes back bit for bit.
+        h = SystemParams(hamiltonian_cm=FMO_HAMILTONIAN_CM.copy()).hamiltonian_cm
+        assert h is not FMO_HAMILTONIAN_CM and h.dtype == np.float64
+        assert np.array_equal(h.view(np.uint64), FMO_HAMILTONIAN_CM.view(np.uint64))
 
 
 class TestLocalizedState:
