@@ -46,24 +46,24 @@ The dense output of a step is the first of them at theta z, theta in
 w_i = L^i y and c_i the coefficients of y_new. Like y_new it agrees with
 exp(theta z) y through z^5.
 
-The loop owns eight state-sized buffers as one list, [y, w_1, ..., w_7].
+A run has two halves. The stepper, `_accepted_steps`, owns the step
+control and eight state-sized buffers as one list, [y, w_1, ..., w_7].
 An attempt is the chain w_j = L w_(j-1), j = 2..7, of six RHS calls from
-w_1 = f(y) (FSAL), each passed the step's start time. One compiled pass,
-`heom_step` in `_kernel.c`, then returns the error norm and writes y_new
-into w_7's buffer and f(y_new) into w_6's; `_kernel.c` states what it
-reads and writes and how it takes the norm. Acceptance swaps y with w_7
-and w_1 with w_6. A rejected attempt recomputes the chain from the
-untouched w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls.
-This form holds only while the generator stays linear and
-time-independent: a time-dependent term, such as a pulsed field, would
-need the stage sums back. Step control, dense output and sampling stay
-here. Two departures from RK45: a step whose error estimate is not finite
-ends the run with `IntegrationError`, where RK45 would shrink the step
-until it underflows; and the dense output is the step polynomial above,
-not RK45's own interpolant. The loop ends at exactly t_end, the last time
-of `SystemParams.output_times()`. Each accepted step evaluates its dense
-output on node 0 at every grid time it covers, t = 0 included, in one
-product.
+w_1 = f(y) (FSAL), each passed the step's start time. One compiled step
+pass in `_kernel.c` then returns the error norm and writes y_new into
+w_7's buffer and f(y_new) into w_6's; `_kernel.c` states what it reads
+and writes and how it takes the norm. Acceptance swaps y with w_7 and
+w_1 with w_6. A rejected attempt recomputes the chain from the untouched
+w_1, so a run makes 1 + 6 (accepted + rejected) RHS calls. This form
+holds only while the generator stays linear and time-independent: a
+time-dependent term, such as a pulsed field, would need the stage sums
+back. Two departures from RK45: a step whose error estimate is not
+finite ends the run with `IntegrationError`, where RK45 would shrink the
+step until it underflows; and the dense output is the step polynomial
+above, not RK45's own interpolant. The stepper ends at exactly t_end and
+reads no output grid. `run` owns the grid, `SystemParams.output_times()`,
+which ends at t_end: it evaluates each yielded step's dense output on
+node 0 at every grid time the step covers, t = 0 included, in one product.
 """
 
 import ctypes
@@ -78,12 +78,11 @@ from .hierarchy import enumerate_hierarchy
 from .model import CM_TO_RADFS, KB_CM_PER_K, MAX_SAMPLES, N_SITES, check_finite
 
 # The step polynomials of the module docstring as the coefficients of
-# h^i w_i, w_i = L^i y, that `run` scales by h^i for the compiled pass:
+# h^i w_i, w_i = L^i y, that the stepper scales by h^i for the compiled pass:
 # i = 1..6 of y_new (its i = 0 term is y) and i = 1..7 of the error.
 # Each ratio of integers is the float nearest the exact coefficient.
 _Y_NEW = np.array([1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600])
 _ERROR = np.array([0, 0, 0, 0, 97 / 120000, -13 / 40000, 1 / 24000])
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _MIN_REL_TOL = 100 * np.finfo(float).eps
 
 
@@ -107,9 +106,9 @@ _DEFAULT_CONFIG = IntegratorConfig()
 
 
 def check_step_count(t_end_fs, max_step_fs):
-    """Refuse a step cap under which a run takes more than MAX_SAMPLES
-    steps, the limit of an output grid's intervals: a run over t_end_fs
-    takes at least t_end_fs / max_step_fs steps."""
+    """Refuse a cap forcing over MAX_SAMPLES steps t_end_fs / max_step_fs. That
+    refuses only runs that could never end: at 80 us (N = 1) to 30-70 ms (N = 12)
+    a forced step, 2 000 000 steps take minutes to over half a day."""
     steps = t_end_fs / max_step_fs
     if steps > MAX_SAMPLES:
         raise ValueError(
@@ -227,26 +226,41 @@ class HEOMPropagator:
         to linalg.STATE_TOL: trace at most 1, no negative eigenvalue; and
         the step cap must pass `check_step_count`.
         """
-        cfg = self.config
-        check_step_count(self.params.t_end_fs, cfg.max_step_fs)
+        check_step_count(self.params.t_end_fs, self.config.max_step_fs)
         times = self.params.output_times()
-        t_end = float(times[-1])
         y = self.initial_hierarchy(rho0)
         trace, lowest = np.trace(rho0).real, np.linalg.eigvalsh(rho0)[0]
         if trace > 1.0 + linalg.STATE_TOL or lowest < -linalg.STATE_TOL:
             raise ValueError(f"initial state is not a density operator: trace {trace}, "
                              f"smallest eigenvalue {lowest:.3e}")
-        samples = np.empty((times.size, N_SITES, N_SITES))
+        samples, next_i = np.empty((times.size, N_SITES, N_SITES)), 0
+        for t, t_new, poly, y, stats in self._accepted_steps(y, float(times[-1])):
+            # Samples next_i..covered - 1 are due by t_new, to 1e-12 fs.
+            covered = np.searchsorted(times, t_new + 1e-12, side="right")
+            x = (np.minimum(times[next_i:covered], t_new) - t) / (t_new - t)
+            p = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)
+            samples[next_i:covered] = (poly @ p[:, :, None]).reshape(
+                -1, N_SITES, N_SITES) + y[0]
+            next_i = covered
+        return Trajectory(times_fs=times, rhos=from_real(samples),
+                          hierarchy_count=self.count, stats=stats)
 
+    def _accepted_steps(self, y, t_end):
+        """Integrate from state y at t = 0, taking over its buffer, to exactly
+        t_end; after each accepted step yield t, t_new, `poly` (the dense
+        output's theta^1..theta^6 coefficients on node 0), the state at t
+        (read-only, valid until resumed) and the IntegratorStats so far."""
+        cfg = self.config
+        safety, min_factor, max_factor = 0.9, 0.2, 10.0
         # The buffers [y, w_1, ..., w_7] and, for the compiled pass, their
         # addresses, swapped together, and its weights: _Y_NEW, then _ERROR,
-        # times h^i. All of them live until the loop ends.
+        # times h^i. All of them live until the stream ends.
         s = [y, *np.empty((7,) + y.shape)]
         addresses = (ctypes.c_void_p * 8)(*(b.ctypes.data for b in s))
         weights = np.empty(_Y_NEW.size + _ERROR.size)
         t, h_abs = 0.0, cfg.initial_step_fs
         self.rhs(t, y, out=s[1])
-        accepted, rejected, h_min, h_max, next_i = 0, 0, math.inf, 0.0, 0
+        accepted, rejected, h_min, h_max = 0, 0, math.inf, 0.0
         while t < t_end:
             min_step = 10 * abs(np.nextafter(t, math.inf) - t)
             h_abs = min(max(h_abs, min_step), cfg.max_step_fs)
@@ -274,30 +288,24 @@ class HEOMPropagator:
                     raise IntegrationError(f"Dormand-Prince step failed at t = {t:.6g} "
                                            "fs (the error estimate was not finite)")
                 if error_norm < 1:
-                    factor = (_MAX_FACTOR if error_norm == 0 else
-                              min(_MAX_FACTOR, _SAFETY * error_norm ** -0.2))
+                    factor = (max_factor if error_norm == 0 else
+                              min(max_factor, safety * error_norm ** -0.2))
                     h_abs *= min(1, factor) if step_rejected else factor
                     break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+                h_abs *= max(min_factor, safety * error_norm ** -0.2)
                 step_rejected = True
                 rejected += 1
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
 
-            # Samples next_i..covered - 1 are due by t_new, to 1e-12 fs.
-            covered = np.searchsorted(times, t_new + 1e-12, side="right")
-            x = (np.minimum(times[next_i:covered], t_new) - t) / h
-            p = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)
-            samples[next_i:covered] = (poly @ p[:, :, None]).reshape(
-                -1, N_SITES, N_SITES) + s[0][0]
-            t, next_i = t_new, covered
+            state = s[0].view()  # the consumer must not write the stepper's buffer
+            state.flags.writeable = False
+            yield t, t_new, poly, state, IntegratorStats(
+                1 + 6 * (accepted + rejected), accepted, rejected, h_min, h_max)
+            t = t_new
             # y and w_1 take y_new from w_7 and f(y_new) from w_6.
             for b in (s, addresses):
                 b[0], b[1], b[6], b[7] = b[7], b[6], b[1], b[0]
-        stats = IntegratorStats(nfev=1 + 6 * (accepted + rejected), accepted=accepted,
-                                rejected=rejected, min_step_fs=h_min, max_step_fs=h_max)
-        return Trajectory(times_fs=times, rhos=from_real(samples),
-                          hierarchy_count=self.count, stats=stats)
 
 
 def convergence_study(rho0, params, n_values, config=None):

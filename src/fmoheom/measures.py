@@ -166,9 +166,9 @@ def wootters_concurrence(rho4):
 
 
 def positivity_bound_check(reduced):
-    """|rho_mn| <= sqrt(rho_mm rho_nn) (+ 1e-9), forced by positivity of the pair."""
+    """|rho_mn| <= sqrt(rho_mm rho_nn) (+ STATE_TOL), forced by positivity of the pair."""
     bound = np.sqrt(np.maximum(reduced.pop_m, 0.0) * np.maximum(reduced.pop_n, 0.0))
-    return np.abs(reduced.coherence) <= bound + 1e-9
+    return np.abs(reduced.coherence) <= bound + STATE_TOL
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,17 @@ def unreachable_rhs(*args, **kwargs):
     raise AssertionError("the run reached an RHS call")
 
 
+def stream_propagator():
+    """The propagator of the stream tests: N = 3 over 100 fs."""
+    return HEOMPropagator(SystemParams(truncation_N=3, t_end_fs=100.0))
+
+
+def accepted_steps(prop):
+    """The accepted-step stream of a run of `prop` from site 1."""
+    return prop._accepted_steps(prop.initial_hierarchy(localized_state(1)),
+                                prop.params.t_end_fs)
+
+
 @pytest.fixture(scope="module")
 def params():
     return SystemParams(truncation_N=2)
@@ -579,6 +590,57 @@ class TestIntegration:
         finally:
             tracemalloc.stop()
         assert peak < 8.5 * state_bytes
+
+    def test_stream_step_ends_rise_to_exactly_t_end(self):
+        ends = [(t, t_new) for t, t_new, *_ in accepted_steps(stream_propagator())]
+        starts, stops = zip(*ends)
+        assert starts[0] == 0.0
+        assert starts[1:] == stops[:-1]
+        assert all(t < t_new for t, t_new in ends)
+        assert stops[-1] == 100.0
+
+    def test_stream_counts_what_run_reports(self):
+        prop = stream_propagator()
+        calls = counting(prop)
+        stats = [step[-1] for step in accepted_steps(prop)]
+        assert [s.accepted for s in stats] == list(range(1, len(stats) + 1))
+        assert stats[-1].nfev == calls[0]
+        assert stats[-1] == stream_propagator().run(localized_state(1)).stats
+
+    def test_stream_polynomials_reproduce_run(self):
+        # The state is valid only until the stream is resumed: keep node 0.
+        steps = [(t, t_new, poly, state[0].copy())
+                 for t, t_new, poly, state, _ in accepted_steps(stream_propagator())]
+        traj = stream_propagator().run(localized_state(1))
+        samples = []
+        for time in traj.times_fs:
+            t, t_new, poly, y0 = next(step for step in steps if time <= step[1] + 1e-12)
+            p = np.cumprod(np.full(6, (min(time, t_new) - t) / (t_new - t)))
+            samples.append((poly @ p[:, None]).reshape(7, 7) + y0)
+        assert np.array_equal(from_real(np.array(samples)).view(np.uint64),
+                              traj.rhos.view(np.uint64))
+
+    def test_stream_state_is_read_only(self):
+        _, _, _, state, _ = next(accepted_steps(stream_propagator()))
+        with pytest.raises(ValueError, match="read-only"):
+            state[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("abandon", ["close", "del"])
+    def test_abandoned_stream_frees_its_buffers(self, abandon):
+        prop = HEOMPropagator(SystemParams(truncation_N=4, t_end_fs=5.0))
+        state_bytes = np.zeros(prop.state_shape).nbytes
+        tracemalloc.start()
+        try:
+            steps = accepted_steps(prop)
+            next(steps)
+            if abandon == "close":
+                steps.close()
+            else:
+                del steps
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert max(trace.size for trace in snapshot.traces) < state_bytes
 
     def test_non_hermitian_initial_state_rejected(self, params):
         prop = HEOMPropagator(params)
